@@ -99,7 +99,7 @@ func main() {
 		keyCache  = flag.String("keycache", "", "key-cache directory shared across bench invocations")
 		procs     = flag.String("procs", "", `comma-separated GOMAXPROCS values to run the whole table at (e.g. "1,4"); empty keeps the ambient setting`)
 		stream    = flag.Bool("stream", false, "prove out-of-core: spill proving keys to disk and stream them back in bounded windows (engine memory budget of 1 byte)")
-		memBudget = flag.Int64("mem-budget", 0, "engine per-circuit key memory budget in bytes; circuits whose raw proving key exceeds it stream from disk (0 disables; -stream is shorthand for 1)")
+		memBudget = flag.Int64("mem-budget", 0, "engine per-circuit memory budget in bytes; circuits whose raw proving key exceeds it are proved fully out-of-core (key, constraint system and witness on disk), the rest in memory (0 disables; -stream is shorthand for 1)")
 		phases    = flag.Bool("phases", false, "trace each run and record per-phase prover timings (phase_ms) in the JSON report")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the last sampled run to this file (implies per-run tracing)")
 	)
@@ -296,7 +296,7 @@ func main() {
 					lastTrace = tr
 				}
 				report.Rows = append(report.Rows, rec)
-				// After a fully out-of-core first repeat the engine's disk
+				// After an out-of-core first repeat the engine's disk
 				// tier holds the CSR section file, and later repeats only
 				// solve and stream — so release this process's resident CSR
 				// arrays (keeping the solver tape) and let the steady-state
@@ -334,9 +334,9 @@ func main() {
 	}
 
 	st := eng.Stats()
-	fmt.Printf("\nengine: %d setups (%.2fs), %d cache hits (%d mem, %d disk), %d proofs (%.2fs, %d streamed, %d spilled), %d verifies (%.3fs)\n",
+	fmt.Printf("\nengine: %d setups (%.2fs), %d cache hits (%d mem, %d disk), %d proofs (%.2fs, %d out-of-core), %d verifies (%.3fs)\n",
 		st.Setups, st.SetupTime.Seconds(), st.MemHits+st.DiskHits, st.MemHits, st.DiskHits,
-		st.Proves, st.ProveTime.Seconds(), st.StreamProves, st.SpillProves, st.Verifies, st.VerifyTime.Seconds())
+		st.Proves, st.ProveTime.Seconds(), st.SpillProves, st.Verifies, st.VerifyTime.Seconds())
 
 	if *compareTo != "" {
 		if err := printComparison(*compareTo, &report); err != nil {

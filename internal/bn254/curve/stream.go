@@ -174,8 +174,8 @@ func putDecomposition(d *ScalarDecomposition) {
 	}
 }
 
-// scalarChunkPool recycles the scalar read buffers of the
-// scalar-source MSM variants the same way.
+// scalarChunkPool recycles the per-chunk scalar read buffers of the
+// scalar-source MSMs the same way.
 var scalarChunkPool sync.Pool
 
 func getScalarChunk(n int) []fr.Element {
@@ -189,59 +189,38 @@ func putScalarChunk(s []fr.Element) {
 	scalarChunkPool.Put(&s)
 }
 
-// MultiExpG1StreamScalars is MultiExpG1Stream with lazy scalar recoding:
-// instead of a whole-vector decomposition (two digit bytes per window
-// per scalar — tens of MB at paper scale), each chunk's scalars are
-// recoded with window width c just before its Pippenger pass. Digits are
-// identical to the eager path because the signed-digit recoding is
-// per-scalar, so the result (and any proof built from it) is unchanged;
-// only the resident digit memory drops to one chunk's worth.
-func MultiExpG1StreamScalars(src G1Source, scalars []fr.Element, c, chunk int) (G1Jac, error) {
-	return MultiExpG1StreamScalarsTraced(src, scalars, c, chunk, nil, "")
-}
-
-// MultiExpG1StreamScalarsTraced is MultiExpG1StreamScalars recording
-// per-chunk read/recode/MSM spans on tr under label (nil tr is the
-// untraced fast path).
-func MultiExpG1StreamScalarsTraced(src G1Source, scalars []fr.Element, c, chunk int, tr *obs.Trace, label string) (G1Jac, error) {
-	reuse := getDecomposition()
-	defer func() { putDecomposition(reuse) }()
-	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, len(scalars), func(start, end int) *ScalarDecomposition {
-		// The driver consumes each chunk's digits before requesting the
-		// next, so one digit buffer serves every chunk.
-		reuse = decomposeScalarsInto(reuse, scalars[start:end], c)
-		return reuse
-	}, chunk, tr, label)
-}
-
 // ScalarSource fills dst with the MSM scalars [start, start+len(dst)) —
 // the scalar-side analogue of G1Source, for MSMs whose scalars live
-// out-of-core too (e.g. a spilled quotient polynomial). Called serially
-// by the streamed driver.
+// out-of-core too (a spilled witness, a disk-resident quotient). Called
+// serially by the streamed driver.
 type ScalarSource func(dst []fr.Element, start int) error
 
-// MultiExpG1StreamScalarSource is MultiExpG1StreamScalars with the
-// scalars also arriving from a source instead of RAM: each chunk's
-// scalars are loaded into a reused buffer and recoded just before its
-// Pippenger pass, so neither side of the MSM is ever fully resident.
-// The result equals MultiExpG1 on the same inputs.
-func MultiExpG1StreamScalarSource(src G1Source, scalars ScalarSource, n, c, chunk int) (G1Jac, error) {
-	return MultiExpG1StreamScalarSourceTraced(src, scalars, n, c, chunk, nil, "")
+// sliceScalars adapts resident scalars to a ScalarSource.
+func sliceScalars(scalars []fr.Element) ScalarSource {
+	return func(dst []fr.Element, start int) error {
+		copy(dst, scalars[start:start+len(dst)])
+		return nil
+	}
 }
 
-// MultiExpG1StreamScalarSourceTraced is MultiExpG1StreamScalarSource
-// with per-chunk span recording (the scalar-file read is folded into
-// the recode span — both sit between chunks on the consumer side).
-func MultiExpG1StreamScalarSourceTraced(src G1Source, scalars ScalarSource, n, c, chunk int, tr *obs.Trace, label string) (G1Jac, error) {
+// multiExpStreamSource is multiExpStream with lazy scalar recoding:
+// instead of a whole-vector decomposition (two digit bytes per window
+// per scalar — tens of MB at paper scale), each chunk's scalars are
+// loaded from the source into a reused buffer and recoded with window
+// width c just before its Pippenger pass, so neither side of the MSM is
+// ever fully resident. Digits are identical to the eager path because
+// the signed-digit recoding is per-scalar, so the result equals the
+// in-memory MSM on the same inputs. The scalar read is folded into the
+// recode span — both sit between chunks on the consumer side.
+func multiExpStreamSource[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start int) error, scalars ScalarSource, n, c, chunk int, tr *obs.Trace, label string) (J, error) {
+	// The driver consumes each chunk's digits before requesting the
+	// next, so one digit buffer and one scalar buffer serve every chunk.
 	reuse := getDecomposition()
 	defer func() { putDecomposition(reuse) }()
 	sbuf := getScalarChunk(streamChunkSize(n, chunk))
 	defer putScalarChunk(sbuf)
 	var srcErr error
-	res, err := multiExpStream[G1Affine, G1Jac](g1Msm{}, src, n, func(start, end int) *ScalarDecomposition {
-		if cap(sbuf) < end-start {
-			sbuf = make([]fr.Element, end-start)
-		}
+	res, err := multiExpStream[A, J](cv, src, n, func(start, end int) *ScalarDecomposition {
 		s := sbuf[:end-start]
 		if srcErr == nil {
 			if err := scalars(s, start); err != nil {
@@ -260,58 +239,30 @@ func MultiExpG1StreamScalarSourceTraced(src G1Source, scalars ScalarSource, n, c
 	return res, err
 }
 
+// MultiExpG1StreamScalars is MultiExpG1Stream with lazy per-chunk
+// scalar recoding (see multiExpStreamSource): only one chunk's digits
+// are ever resident.
+func MultiExpG1StreamScalars(src G1Source, scalars []fr.Element, c, chunk int) (G1Jac, error) {
+	return MultiExpG1StreamScalarSourceTraced(src, sliceScalars(scalars), len(scalars), c, chunk, nil, "")
+}
+
 // MultiExpG2StreamScalars is the G2 counterpart of MultiExpG1StreamScalars.
 func MultiExpG2StreamScalars(src G2Source, scalars []fr.Element, c, chunk int) (G2Jac, error) {
-	return MultiExpG2StreamScalarsTraced(src, scalars, c, chunk, nil, "")
+	return MultiExpG2StreamScalarSourceTraced(src, sliceScalars(scalars), len(scalars), c, chunk, nil, "")
 }
 
-// MultiExpG2StreamScalarsTraced is the G2 counterpart of
-// MultiExpG1StreamScalarsTraced.
-func MultiExpG2StreamScalarsTraced(src G2Source, scalars []fr.Element, c, chunk int, tr *obs.Trace, label string) (G2Jac, error) {
-	reuse := getDecomposition()
-	defer func() { putDecomposition(reuse) }()
-	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, len(scalars), func(start, end int) *ScalarDecomposition {
-		reuse = decomposeScalarsInto(reuse, scalars[start:end], c)
-		return reuse
-	}, chunk, tr, label)
-}
-
-// MultiExpG2StreamScalarSource is the G2 counterpart of
-// MultiExpG1StreamScalarSource — bases and scalars both arrive from
-// sources, so neither side is ever fully resident. Used for the B2
-// wire-query MSM when the witness is spilled.
-func MultiExpG2StreamScalarSource(src G2Source, scalars ScalarSource, n, c, chunk int) (G2Jac, error) {
-	return MultiExpG2StreamScalarSourceTraced(src, scalars, n, c, chunk, nil, "")
+// MultiExpG1StreamScalarSourceTraced computes Σ kᵢ·Pᵢ with the points
+// arriving from src and the scalars from scalars, both in bounded
+// chunks, recording per-chunk read/recode/MSM spans on tr under label
+// (nil tr is the untraced fast path).
+func MultiExpG1StreamScalarSourceTraced(src G1Source, scalars ScalarSource, n, c, chunk int, tr *obs.Trace, label string) (G1Jac, error) {
+	return multiExpStreamSource[G1Affine, G1Jac](g1Msm{}, src, scalars, n, c, chunk, tr, label)
 }
 
 // MultiExpG2StreamScalarSourceTraced is the G2 counterpart of
 // MultiExpG1StreamScalarSourceTraced.
 func MultiExpG2StreamScalarSourceTraced(src G2Source, scalars ScalarSource, n, c, chunk int, tr *obs.Trace, label string) (G2Jac, error) {
-	reuse := getDecomposition()
-	defer func() { putDecomposition(reuse) }()
-	sbuf := getScalarChunk(streamChunkSize(n, chunk))
-	defer putScalarChunk(sbuf)
-	var srcErr error
-	res, err := multiExpStream[G2Affine, G2Jac](g2Msm{}, src, n, func(start, end int) *ScalarDecomposition {
-		if cap(sbuf) < end-start {
-			sbuf = make([]fr.Element, end-start)
-		}
-		s := sbuf[:end-start]
-		if srcErr == nil {
-			if err := scalars(s, start); err != nil {
-				srcErr = fmt.Errorf("curve: streamed MSM scalar read at %d: %w", start, err)
-			}
-		}
-		if srcErr != nil {
-			clear(s)
-		}
-		reuse = decomposeScalarsInto(reuse, s, c)
-		return reuse
-	}, chunk, tr, label)
-	if err == nil {
-		err = srcErr
-	}
-	return res, err
+	return multiExpStreamSource[G2Affine, G2Jac](g2Msm{}, src, scalars, n, c, chunk, tr, label)
 }
 
 // StreamWindowSize picks the Pippenger window width for a streamed MSM

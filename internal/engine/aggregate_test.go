@@ -11,12 +11,11 @@ import (
 
 func TestAggregateMany(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(21))})
-	sys := cubicSystem(5)
 	var proofs []*groth16.Proof
 	var publics [][]fr.Element
 	var vk *groth16.VerifyingKey
 	for _, x := range []uint64{2, 3, 5, 7, 9} {
-		res, err := e.Prove(Request{System: sys, Witness: cubicWitness(5, x)})
+		res, err := e.Prove(cubicRequest(5, x))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,29 +14,24 @@ import (
 )
 
 // KeyPair bundles the Groth16 keys produced by one trusted setup. In
-// in-memory mode PK is populated; in streamed (out-of-core) mode PK is
-// nil and Stream serves the same material from disk. Exactly one of the
-// two is non-nil; VK is always resident.
+// in-memory mode PK is populated; in out-of-core mode PK is nil and
+// Stream and CSFile serve the key and the constraint system from disk.
+// VK is always resident.
 type KeyPair struct {
 	PK *groth16.ProvingKey
 	VK *groth16.VerifyingKey
 	// Stream is the disk-backed proving key used when the engine's
 	// memory budget ruled out materializing PK.
 	Stream *groth16.StreamedProvingKey
-	// CSFile, when non-nil, is the disk-resident constraint system the
-	// keys were set up from: the memory budget ruled out keeping the CSR
-	// matrices (and the solved witness) resident too, so proves stream
-	// constraint rows from this file and spill the witness to disk. Like
-	// Stream, it shares the cache entry's lifetime.
+	// CSFile is the disk-resident constraint system the streamed key was
+	// set up from: proves stream constraint rows from it and spill the
+	// witness to disk. Like Stream, it shares the cache entry's
+	// lifetime.
 	CSFile *r1cs.CompiledSystemFile
 }
 
-// Streamed reports whether the proving key is disk-backed.
+// Streamed reports whether the keys are out-of-core.
 func (kp *KeyPair) Streamed() bool { return kp.Stream != nil }
-
-// Spilled reports whether proves also stream the constraint system
-// from disk and spill the solver tape (full out-of-core mode).
-func (kp *KeyPair) Spilled() bool { return kp.CSFile != nil }
 
 // PKSizeBytes returns the serialized size of the proving key in
 // whichever backend holds it: the compressed WriteTo size for an

@@ -63,40 +63,27 @@ type Options struct {
 	// It must be safe for concurrent use; the engine serializes setup
 	// internally but proves concurrently.
 	Rand io.Reader
-	// MemoryBudget, when > 0, is a per-circuit ceiling in bytes on key
-	// material held in RAM: circuits whose raw proving-key encoding
-	// (groth16.RawPKSizeBytes) exceeds it are set up and proved
-	// out-of-core — setup spills the key straight to disk and every
-	// prove streams it back in bounded windows, so peak prover memory
-	// stays independent of key size. Keys under the budget use the
-	// ordinary in-memory path. Set it to 1 to force streaming for every
-	// circuit. Streamed keys spill into CacheDir when configured (the
-	// spill file doubles as the cache entry), otherwise into a
-	// temporary directory removed on Close.
-	//
-	// The budget also governs the other two per-circuit residents: when
-	// a streamed circuit's CSR encoding (r1cs.CSRRawSizeBytes) plus its
-	// solved witness would themselves exceed the budget, the engine goes
-	// fully out-of-core — the constraint system is written once to a
-	// digest-keyed section file beside the spilled key, setup and every
-	// prove stream constraint rows from it in bounded windows, and the
-	// solver writes the witness tape to a disk-backed page cache instead
-	// of RAM. The cache then retains only a solver-program copy of the
-	// circuit (r1cs.CompiledSystem.StripForSolve), so no component of
-	// the pipeline scales resident memory with circuit size.
+	// MemoryBudget, when > 0, picks between the engine's two prover
+	// modes per circuit. A circuit whose raw proving-key encoding
+	// (groth16.RawPKSizeBytes) fits the budget is set up and proved in
+	// memory. One whose key exceeds it goes fully out-of-core: setup
+	// spills the key straight to disk; the constraint system is written
+	// once to a digest-keyed section file beside it; and every prove
+	// streams the key and the constraint rows back in bounded windows
+	// while the solver writes the witness to a disk-backed page cache.
+	// The cache then retains only a solver-program copy of the circuit
+	// (r1cs.CompiledSystem.StripForSolve), so no component of the
+	// pipeline scales resident memory with circuit size. Set it to 1 to
+	// force the out-of-core mode for every circuit. Spill files go into
+	// CacheDir when configured (the key file doubles as the cache
+	// entry), otherwise into a temporary directory removed on Close.
 	MemoryBudget int64
-	// StreamChunk overrides the number of points per streamed-MSM
-	// window (default curve.DefaultStreamChunk). Peak per-MSM point
-	// memory in streamed mode is roughly three chunks of decoded
-	// affine points (double buffering plus the active Pippenger pass).
-	StreamChunk int
 }
 
-// Request is one proving job. The compile-once / solve-many shape is
-// the default: carry the compiled system (or the digest of one the
-// engine has already seen) plus the per-proof input assignment, and the
-// engine replays the circuit's solver program to rebuild the witness.
-// Callers that already hold a full witness may pass it instead.
+// Request is one proving job in the compile-once / solve-many shape:
+// the compiled system (or the digest of one the engine has already
+// seen) plus the per-proof input assignment, from which the engine
+// replays the circuit's solver program to rebuild the witness.
 type Request struct {
 	Name string
 	// Ctx, when non-nil, carries request-scoped telemetry: a trace
@@ -111,10 +98,6 @@ type Request struct {
 	// Result.Digest) so solve-many callers don't re-send the system.
 	// Ignored when System is set.
 	Digest string
-	// Witness, when non-nil, is used as the full wire assignment and
-	// Public/Secret are ignored. Otherwise the engine solves the witness
-	// from the input assignment (Result.SolveTime reports the cost).
-	Witness []fr.Element
 	// Public and Secret bind the circuit's declared inputs, in
 	// declaration order (r1cs.Assignment halves).
 	Public []fr.Element
@@ -131,12 +114,11 @@ type Result struct {
 	Digest string
 	Keys   *KeyPair
 	Proof  *groth16.Proof
-	// Witness is the full wire assignment the proof was produced from —
-	// the solved witness when the request carried an input assignment,
-	// or the request's own witness. It is nil when the memory budget
-	// sent the witness to the disk-backed spill store (the whole point
-	// of that mode is never materializing it); use PublicInputs, which
-	// is populated in every mode.
+	// Witness is the solved wire assignment the proof was produced
+	// from. It is nil in the out-of-core mode, where the witness lives
+	// in a disk-backed spill store (the whole point of that mode is
+	// never materializing it); use PublicInputs, which is populated in
+	// both modes.
 	Witness []fr.Element
 	// PublicInputs is the proof's instance — the public wires in the
 	// order Verify expects (CompiledSystem.PublicValues). Always
@@ -145,8 +127,7 @@ type Result struct {
 	// SetupTime is the wall-clock cost of obtaining keys. On a cache hit
 	// it is the lookup cost — effectively zero next to a real setup.
 	SetupTime time.Duration
-	// SolveTime is the witness-generation cost (zero when the request
-	// supplied a witness).
+	// SolveTime is the witness-generation cost.
 	SolveTime time.Duration
 	ProveTime time.Duration
 	// CacheHit is true when setup was skipped (memory or disk tier).
@@ -162,19 +143,18 @@ type Result struct {
 
 // Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
-	Setups       uint64 // trusted setups actually executed
-	MemHits      uint64 // key lookups served from the in-memory LRU
-	DiskHits     uint64 // key lookups served from the disk tier
-	Solves       uint64 // witnesses generated by solver-program replay
-	Proves       uint64
-	StreamProves uint64 // subset of Proves served by the out-of-core backend
-	SpillProves  uint64 // subset of StreamProves that also streamed the CSR and spilled the witness
-	Verifies     uint64 // individual + batched verification calls
-	Aggregates   uint64 // aggregation artifacts produced
-	SetupTime    time.Duration
-	SolveTime    time.Duration
-	ProveTime    time.Duration
-	VerifyTime   time.Duration
+	Setups      uint64 // trusted setups actually executed
+	MemHits     uint64 // key lookups served from the in-memory LRU
+	DiskHits    uint64 // key lookups served from the disk tier
+	Solves      uint64 // witnesses generated by solver-program replay
+	Proves      uint64
+	SpillProves uint64 // subset of Proves run out-of-core: streamed key and CSR, spilled witness
+	Verifies    uint64 // individual + batched verification calls
+	Aggregates  uint64 // aggregation artifacts produced
+	SetupTime   time.Duration
+	SolveTime   time.Duration
+	ProveTime   time.Duration
+	VerifyTime  time.Duration
 	// AggregateTime is aggregation wall-clock (prove + self-check).
 	AggregateTime time.Duration
 }
@@ -215,8 +195,8 @@ type Engine struct {
 	srs   *ipp.SRS
 
 	setups, memHits, diskHits           atomic.Uint64
-	solves, proves, streamProves        atomic.Uint64
-	spillProves, verifies, aggregates   atomic.Uint64
+	solves, proves, spillProves         atomic.Uint64
+	verifies, aggregates                atomic.Uint64
 	setupNs, solveNs, proveNs, verifyNs atomic.Int64
 	aggregateNs                         atomic.Int64
 }
@@ -286,9 +266,19 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// shouldStream decides the proving-key backend for a system under the
-// configured memory budget.
-func (e *Engine) shouldStream(sys *r1cs.CompiledSystem) bool {
+// SpillsConstraintSystem picks the prover mode for sys: true means
+// out-of-core — streamed key plus disk-resident CSR and spilled witness
+// — because its raw proving key exceeds the memory budget; false means
+// in memory. A solver-only (stripped) system has no CSR arrays and can
+// only be proved through its spill files, so it is always out-of-core.
+// Once a first prove has populated the disk tier, callers holding the
+// compiled system only for re-proving can swap it for its StripForSolve
+// copy and release the CSR arrays: the engine re-opens the constraint
+// rows from its digest-keyed section file.
+func (e *Engine) SpillsConstraintSystem(sys *r1cs.CompiledSystem) bool {
+	if sys.Stripped() {
+		return true
+	}
 	if e.opts.MemoryBudget <= 0 {
 		return false
 	}
@@ -297,31 +287,6 @@ func (e *Engine) shouldStream(sys *r1cs.CompiledSystem) bool {
 		return false // setup will surface the real error
 	}
 	return raw > e.opts.MemoryBudget
-}
-
-// shouldSpillCS decides, for a circuit already past the streaming
-// threshold, whether the constraint system and witness go out-of-core
-// too: they do when their combined resident cost — the CSR section
-// file encoding (a faithful proxy for the in-memory CSR arrays) plus
-// one full wire assignment — exceeds the same budget the key was
-// measured against. A solver-only cached system has no CSR to measure
-// and can only be proved through its spill file, so it always spills.
-func (e *Engine) shouldSpillCS(sys *r1cs.CompiledSystem) bool {
-	if sys.Stripped() {
-		return true
-	}
-	witnessBytes := int64(sys.NbWires) * int64(8*fr.Limbs)
-	return r1cs.CSRRawSizeBytes(sys)+witnessBytes > e.opts.MemoryBudget
-}
-
-// SpillsConstraintSystem reports whether a prove of sys on this engine
-// runs fully out-of-core — streamed key plus disk-resident CSR and
-// spilled witness. Once a first prove has populated the disk tier,
-// callers holding the compiled system only for re-proving can swap it
-// for its StripForSolve copy and release the CSR arrays: the engine
-// re-opens the constraint rows from its digest-keyed section file.
-func (e *Engine) SpillsConstraintSystem(sys *r1cs.CompiledSystem) bool {
-	return e.shouldStream(sys) && e.shouldSpillCS(sys)
 }
 
 // witnessPageBudget sizes the spilled witness's resident page cache: a
@@ -360,14 +325,14 @@ func (e *Engine) ensureCSFile(sys *r1cs.CompiledSystem, digest string) (*r1cs.Co
 	return cf, nil
 }
 
-// cacheSystem picks what to retain beside the keys: in full
-// out-of-core mode the CSR arrays live in the spill file, so the cache
-// keeps only the solver program and input layout.
-func cacheSystem(sys *r1cs.CompiledSystem, spill bool) *r1cs.CompiledSystem {
-	if spill && !sys.Stripped() {
-		return sys.StripForSolve()
+// cacheSystem picks what to retain beside out-of-core keys: the CSR
+// arrays live in the spill file, so the cache keeps only the solver
+// program and input layout.
+func cacheSystem(sys *r1cs.CompiledSystem) *r1cs.CompiledSystem {
+	if sys.Stripped() {
+		return sys
 	}
-	return sys
+	return sys.StripForSolve()
 }
 
 // streamKeyDir resolves (creating if needed) the directory streamed
@@ -417,7 +382,6 @@ func (e *Engine) streamFromDisk(digest string) (*KeyPair, bool) {
 		pkF.Close()
 		return nil, false
 	}
-	spk.Chunk = e.opts.StreamChunk
 	spk.SpillDir = dir
 	vkF, vkr, err := openFramed(filepath.Join(dir, digest+".vk"))
 	if err != nil {
@@ -438,54 +402,43 @@ func (e *Engine) streamFromDisk(digest string) (*KeyPair, bool) {
 	return &KeyPair{VK: vk, Stream: spk}, true
 }
 
-// setupStreamed runs trusted setup in out-of-core mode: the proving key
-// is spilled straight to a framed file (never materialized in RAM) and
-// reopened as a StreamedProvingKey. When spill is set the constraint
-// system goes out-of-core first — setup then streams its QAP
-// accumulation from the CSR spill file, and the returned KeyPair
-// carries the open handle for proves to share. persistErr carries a
-// best-effort verifying-key persistence failure; err is fatal.
-func (e *Engine) setupStreamed(sys *r1cs.CompiledSystem, digest string, spill bool, rng io.Reader) (kp *KeyPair, persistErr, err error) {
+// setupStreamed runs trusted setup in out-of-core mode: the constraint
+// system goes to its CSR spill file first, setup streams its QAP
+// accumulation from that file, and the proving key is spilled straight
+// to a framed file (never materialized in RAM) and reopened as a
+// StreamedProvingKey. The returned KeyPair carries both open handles
+// for proves to share. persistErr carries a best-effort verifying-key
+// persistence failure; err is fatal.
+func (e *Engine) setupStreamed(sys *r1cs.CompiledSystem, digest string, rng io.Reader) (kp *KeyPair, persistErr, err error) {
 	dir, err := e.streamKeyDir()
 	if err != nil {
 		return nil, nil, err
 	}
-	var cons r1cs.Constraints = sys
-	var csf *r1cs.CompiledSystemFile
-	if spill {
-		if csf, err = e.ensureCSFile(sys, digest); err != nil {
-			return nil, nil, err
-		}
-		cons = csf
+	csf, err := e.ensureCSFile(sys, digest)
+	if err != nil {
+		return nil, nil, err
 	}
 	var vk *groth16.VerifyingKey
 	pkPath := filepath.Join(dir, digest+".pk")
 	if err := writeFramedFile(pkPath, func(w io.Writer) error {
 		var serr error
-		vk, serr = groth16.SetupStreamed(cons, rng, w)
+		vk, serr = groth16.SetupStreamed(csf, rng, w)
 		return serr
 	}); err != nil {
-		if csf != nil {
-			csf.Close()
-		}
+		csf.Close()
 		return nil, nil, fmt.Errorf("engine: streamed setup: %w", err)
 	}
 	pkF, pkr, err := openFramed(pkPath)
 	if err != nil {
-		if csf != nil {
-			csf.Close()
-		}
+		csf.Close()
 		return nil, nil, fmt.Errorf("engine: reopen spilled proving key: %w", err)
 	}
 	spk, err := groth16.OpenStreamedProvingKey(pkr)
 	if err != nil {
 		pkF.Close()
-		if csf != nil {
-			csf.Close()
-		}
+		csf.Close()
 		return nil, nil, fmt.Errorf("engine: spilled proving key: %w", err)
 	}
-	spk.Chunk = e.opts.StreamChunk
 	spk.SpillDir = dir
 	persistErr = writeFramedFile(filepath.Join(dir, digest+".vk"), func(w io.Writer) error {
 		_, werr := vk.WriteTo(w)
@@ -562,29 +515,24 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 	// of same-digest requests deserializes (or indexes) the key file
 	// once, not once per worker.
 	diskHit := false
-	stream := e.shouldStream(sys)
-	spill := stream && e.shouldSpillCS(sys)
+	stream := e.SpillsConstraintSystem(sys)
 	var fromDisk *KeyPair
 	var ok bool
 	sp := tr.Span("keys/disk-load")
 	if stream {
-		// In streamed mode the disk tier is the authoritative key
+		// In out-of-core mode the disk tier is the authoritative key
 		// store; a hit costs one integrity pass plus section indexing,
 		// never a full materialization.
 		if fromDisk, ok = e.streamFromDisk(digest); ok {
-			if spill {
-				// The CSR spill file rides beside the key files; a
-				// missing or corrupt one is rewritten from sys here. If
-				// that fails (solver-only sys, dead disk) the hit is
-				// voided and the setup path below reports the error.
-				if csf, cerr := e.ensureCSFile(sys, digest); cerr == nil {
-					fromDisk.CSFile = csf
-				} else {
-					fromDisk, ok = nil, false
-				}
-			}
-			if ok {
-				e.cache.putMem(digest, fromDisk, cacheSystem(sys, spill))
+			// The CSR spill file rides beside the key files; a missing
+			// or corrupt one is rewritten from sys here. If that fails
+			// (solver-only sys, dead disk) the hit is voided and the
+			// setup path below reports the error.
+			if csf, cerr := e.ensureCSFile(sys, digest); cerr == nil {
+				fromDisk.CSFile = csf
+				e.cache.putMem(digest, fromDisk, cacheSystem(sys))
+			} else {
+				fromDisk, ok = nil, false
 			}
 		}
 	} else {
@@ -600,7 +548,7 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 		mKeycacheMisses.Inc()
 		sp := tr.Span("keys/setup-streamed")
 		start := time.Now()
-		kp, perr, serr := e.setupStreamed(sys, digest, spill, e.requestRand(rng))
+		kp, perr, serr := e.setupStreamed(sys, digest, e.requestRand(rng))
 		elapsed := time.Since(start)
 		sp.End()
 		if serr == nil {
@@ -608,7 +556,7 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 			e.setups.Add(1)
 			e.setupNs.Add(int64(elapsed))
 			observeSeconds(mSetupSeconds, elapsed)
-			e.cache.putMem(digest, kp, cacheSystem(sys, spill))
+			e.cache.putMem(digest, kp, cacheSystem(sys))
 			call.persistErr = perr
 		}
 		call.err = serr
@@ -689,106 +637,31 @@ func (e *Engine) prove(req Request) *Result {
 		return res
 	}
 	res.Keys = keys
-
-	if sys.Stripped() && keys.CSFile == nil {
+	if sys.Stripped() && keys.Stream == nil {
 		// A solver-only circuit copy has placeholder CSR arrays; proving
-		// against it without the spill file would silently "satisfy"
-		// empty constraints. The cache pairs stripped systems with their
-		// CSFile, so this only trips on a programming error.
+		// it against in-memory keys would silently "satisfy" empty
+		// constraints. SpillsConstraintSystem routes stripped systems
+		// out-of-core, so this only trips when in-memory keys were
+		// already cached for the digest.
 		mProveErrorsTotal.Inc()
-		res.Err = errors.New("engine: cached circuit is solver-only but no CSR spill file is attached")
+		res.Err = errors.New("engine: cached circuit is solver-only but its keys are in memory (resend the compiled system)")
 		return res
 	}
 
-	// In full out-of-core mode an input-assignment request solves
-	// straight into a disk-backed witness tape; the prover then reads
-	// wires back through the same file. A caller-supplied witness stays
-	// resident (it already was), but still proves against the CSR file.
-	witness := req.Witness
-	var wf *r1cs.WitnessFile
-	if witness == nil && keys.CSFile != nil {
-		dir, derr := e.streamKeyDir()
-		if derr == nil {
-			wf, derr = r1cs.NewWitnessFile(dir, sys.NbWires, e.witnessPageBudget())
-		}
-		if derr != nil {
-			mProveErrorsTotal.Inc()
-			res.Err = fmt.Errorf("engine: witness spill store: %w", derr)
-			return res
-		}
-		defer wf.Close()
-	}
-	if witness == nil {
-		sp = tr.Span("engine/solve")
-		start = time.Now()
-		if wf != nil {
-			err = sys.SolveSpilled(req.Public, req.Secret, wf, tr)
-		} else {
-			witness, err = sys.Solve(req.Public, req.Secret)
-		}
-		res.SolveTime = time.Since(start)
-		sp.End()
-		if err != nil {
-			mProveErrorsTotal.Inc()
-			res.Err = fmt.Errorf("engine: solve: %w", err)
-			return res
-		}
-		e.solves.Add(1)
-		e.solveNs.Add(int64(res.SolveTime))
-		observeSeconds(mSolveSeconds, res.SolveTime)
-	}
-	if wf != nil {
-		// Only the instance comes back resident: public wires [1, NbPublic).
-		if n := sys.NbPublic - 1; n > 0 {
-			pub := make([]fr.Element, n)
-			if err := wf.ReadRange(pub, 1); err != nil {
-				mProveErrorsTotal.Inc()
-				res.Err = fmt.Errorf("engine: read spilled public inputs: %w", err)
-				return res
-			}
-			res.PublicInputs = pub
-		} else {
-			res.PublicInputs = []fr.Element{}
-		}
-	} else {
-		res.Witness = witness
-		res.PublicInputs = sys.PublicValues(witness)
-	}
-
-	sp = tr.Span("engine/prove")
-	start = time.Now()
 	var proof *groth16.Proof
 	if keys.Stream != nil {
-		// The caller chose streaming to bound resident memory; collect
-		// the setup/solve phases' garbage and return the freed pages
-		// before entering the bounded-memory prove, so its footprint is
-		// the pipeline's, not the allocator's leftovers.
-		debug.FreeOSMemory()
-		switch {
-		case wf != nil:
-			proof, err = groth16.ProveStreamedSpilled(keys.CSFile, keys.Stream, wf, e.requestRand(req.Rand), tr)
-		case keys.CSFile != nil:
-			proof, err = groth16.ProveStreamedTraced(keys.CSFile, keys.Stream, witness, e.requestRand(req.Rand), tr)
-		default:
-			proof, err = groth16.ProveStreamedTraced(sys, keys.Stream, witness, e.requestRand(req.Rand), tr)
-		}
+		proof, err = e.proveStreamed(sys, keys, req, res, tr)
 	} else {
-		proof, err = groth16.ProveTraced(sys, keys.PK, witness, e.requestRand(req.Rand), tr)
+		proof, err = e.proveInMemory(sys, keys, req, res, tr)
 	}
-	res.ProveTime = time.Since(start)
-	sp.End()
 	if err != nil {
 		mProveErrorsTotal.Inc()
-		res.Err = fmt.Errorf("engine: prove: %w", err)
+		res.Err = err
 		return res
 	}
 	e.proves.Add(1)
 	mProvesTotal.Inc()
 	if keys.Stream != nil {
-		e.streamProves.Add(1)
-		mStreamProvesTotal.Inc()
-	}
-	if keys.CSFile != nil {
 		e.spillProves.Add(1)
 		mSpillProvesTotal.Inc()
 	}
@@ -796,6 +669,84 @@ func (e *Engine) prove(req Request) *Result {
 	observeSeconds(mProveSeconds, res.ProveTime)
 	res.Proof = proof
 	return res
+}
+
+// proveInMemory is the in-memory mode: solve into a resident witness,
+// prove against the resident key and CSR arrays.
+func (e *Engine) proveInMemory(sys *r1cs.CompiledSystem, keys *KeyPair, req Request, res *Result, tr *obs.Trace) (*groth16.Proof, error) {
+	var witness []fr.Element
+	err := e.solve(res, tr, func() (err error) {
+		witness, err = sys.Solve(req.Public, req.Secret)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Witness = witness
+	res.PublicInputs = sys.PublicValues(witness)
+	sp := tr.Span("engine/prove")
+	start := time.Now()
+	proof, err := groth16.ProveTraced(sys, keys.PK, witness, e.requestRand(req.Rand), tr)
+	res.ProveTime = time.Since(start)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("engine: prove: %w", err)
+	}
+	return proof, nil
+}
+
+// proveStreamed is the out-of-core mode: solve straight into a
+// disk-backed witness tape, then prove against the streamed key and the
+// CSR spill file, reading wires back through the same tape. Only the
+// instance — public wires [1, NbPublic) — comes back resident.
+func (e *Engine) proveStreamed(sys *r1cs.CompiledSystem, keys *KeyPair, req Request, res *Result, tr *obs.Trace) (*groth16.Proof, error) {
+	dir, err := e.streamKeyDir()
+	if err != nil {
+		return nil, fmt.Errorf("engine: witness spill store: %w", err)
+	}
+	wf, err := r1cs.NewWitnessFile(dir, sys.NbWires, e.witnessPageBudget())
+	if err != nil {
+		return nil, fmt.Errorf("engine: witness spill store: %w", err)
+	}
+	defer wf.Close()
+	if err := e.solve(res, tr, func() error { return sys.SolveSpilled(req.Public, req.Secret, wf, tr) }); err != nil {
+		return nil, err
+	}
+	res.PublicInputs = make([]fr.Element, sys.NbPublic-1)
+	if err := wf.ReadRange(res.PublicInputs, 1); err != nil {
+		return nil, fmt.Errorf("engine: read spilled public inputs: %w", err)
+	}
+	sp := tr.Span("engine/prove")
+	start := time.Now()
+	// Out-of-core mode exists to bound resident memory; collect the
+	// setup/solve phases' garbage and return the freed pages before
+	// entering the bounded-memory prove, so its footprint is the
+	// pipeline's, not the allocator's leftovers.
+	debug.FreeOSMemory()
+	proof, err := groth16.ProveStreamedSpilled(keys.CSFile, keys.Stream, wf, e.requestRand(req.Rand), tr)
+	res.ProveTime = time.Since(start)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("engine: prove: %w", err)
+	}
+	return proof, nil
+}
+
+// solve runs one witness solve under the "engine/solve" span, metering
+// it into res and the engine counters.
+func (e *Engine) solve(res *Result, tr *obs.Trace, run func() error) error {
+	sp := tr.Span("engine/solve")
+	start := time.Now()
+	err := run()
+	res.SolveTime = time.Since(start)
+	sp.End()
+	if err != nil {
+		return fmt.Errorf("engine: solve: %w", err)
+	}
+	e.solves.Add(1)
+	e.solveNs.Add(int64(res.SolveTime))
+	observeSeconds(mSolveSeconds, res.SolveTime)
+	return nil
 }
 
 // ProveMany runs the requests on the engine's worker pool and returns
@@ -889,7 +840,6 @@ func (e *Engine) Stats() Stats {
 		DiskHits:      e.diskHits.Load(),
 		Solves:        e.solves.Load(),
 		Proves:        e.proves.Load(),
-		StreamProves:  e.streamProves.Load(),
 		SpillProves:   e.spillProves.Load(),
 		Verifies:      e.verifies.Load(),
 		Aggregates:    e.aggregates.Load(),

@@ -69,11 +69,19 @@ func cubicWitness(k, x uint64) []fr.Element {
 
 func publicOf(w []fr.Element) []fr.Element { return w[1:2] }
 
+// cubicRequest proves cubicSystem(k) at x: the FromSystem adapter takes
+// every wire as an input, so the assignment is the witness split in two.
+func cubicRequest(k, x uint64) Request {
+	sys := cubicSystem(k)
+	asg := sys.WitnessAssignment(cubicWitness(k, x))
+	return Request{System: sys, Public: asg.Public, Secret: asg.Secret}
+}
+
 func TestProveCacheHitSkipsSetup(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(1))})
-	sys := cubicSystem(5)
-
-	r1, err := e.Prove(Request{Name: "first", System: sys, Witness: cubicWitness(5, 3)})
+	req := cubicRequest(5, 3)
+	req.Name = "first"
+	r1, err := e.Prove(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +93,9 @@ func TestProveCacheHitSkipsSetup(t *testing.T) {
 	}
 
 	// Same digest, different witness: the repeat-dispute shape.
-	r2, err := e.Prove(Request{Name: "second", System: cubicSystem(5), Witness: cubicWitness(5, 7)})
+	req = cubicRequest(5, 7)
+	req.Name = "second"
+	r2, err := e.Prove(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +117,11 @@ func TestProveCacheHitSkipsSetup(t *testing.T) {
 
 func TestDistinctDigestsDistinctKeys(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(2))})
-	ra, err := e.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	ra, err := e.Prove(cubicRequest(5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := e.Prove(Request{System: cubicSystem(9), Witness: cubicWitness(9, 3)})
+	rb, err := e.Prove(cubicRequest(9, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +141,14 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 
 	e1 := New(Options{CacheDir: dir, Rand: rng})
-	r1, err := e1.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	r1, err := e1.Prove(cubicRequest(5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh engine (cold memory) over the same directory: disk hit.
 	e2 := New(Options{CacheDir: dir, Rand: rng})
-	r2, err := e2.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 4)})
+	r2, err := e2.Prove(cubicRequest(5, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +170,7 @@ func TestConcurrentSetupDeduplicated(t *testing.T) {
 	const jobs = 8
 	reqs := make([]Request, jobs)
 	for i := range reqs {
-		reqs[i] = Request{System: cubicSystem(5), Witness: cubicWitness(5, uint64(i+2))}
+		reqs[i] = cubicRequest(5, uint64(i+2))
 	}
 	results := e.ProveMany(reqs)
 	for i, r := range results {
@@ -180,7 +190,7 @@ func TestVerifyMany(t *testing.T) {
 	publics := make([][]fr.Element, jobs)
 	for i := range reqs {
 		w := cubicWitness(5, uint64(i+2))
-		reqs[i] = Request{System: cubicSystem(5), Witness: w}
+		reqs[i] = cubicRequest(5, uint64(i+2))
 		publics[i] = publicOf(w)
 	}
 	results := e.ProveMany(reqs)
@@ -205,7 +215,7 @@ func TestVerifyMany(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	e := New(Options{CacheEntries: 2, Rand: rand.New(rand.NewSource(6))})
 	for _, k := range []uint64{5, 6, 7} {
-		if _, err := e.Prove(Request{System: cubicSystem(k), Witness: cubicWitness(k, 3)}); err != nil {
+		if _, err := e.Prove(cubicRequest(k, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +224,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// k=5 was evicted; proving it again runs setup.
 	before := e.Stats().Setups
-	r, err := e.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	r, err := e.Prove(cubicRequest(5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +241,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	const jobs = 4
 	reqs := make([]Request, jobs)
 	for i := range reqs {
-		reqs[i] = Request{System: cubicSystem(5), Witness: cubicWitness(5, uint64(i+2))}
+		reqs[i] = cubicRequest(5, uint64(i+2))
 	}
 	var results []*Result
 	done := make(chan struct{})
@@ -250,7 +260,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 
 	// Every entry point must reject with the sentinel after Close.
-	if _, err := e.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)}); !errors.Is(err, ErrClosed) {
+	if _, err := e.Prove(cubicRequest(5, 3)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Prove after Close: err = %v, want ErrClosed", err)
 	}
 	if _, _, err := e.Keys(cubicSystem(5), nil); !errors.Is(err, ErrClosed) {
@@ -303,7 +313,7 @@ func TestStatsRaceUnderLoad(t *testing.T) {
 	publics := make([][]fr.Element, jobs)
 	for i := range reqs {
 		w := cubicWitness(5, uint64(i+2))
-		reqs[i] = Request{System: cubicSystem(5), Witness: w}
+		reqs[i] = cubicRequest(5, uint64(i+2))
 		publics[i] = publicOf(w)
 	}
 	results := e.ProveMany(reqs)
@@ -429,7 +439,8 @@ func TestTracedProveManyRace(t *testing.T) {
 	const jobs = 8
 	reqs := make([]Request, jobs)
 	for i := range reqs {
-		reqs[i] = Request{System: cubicSystem(7), Witness: cubicWitness(7, uint64(i+2)), Ctx: ctx}
+		reqs[i] = cubicRequest(7, uint64(i+2))
+		reqs[i].Ctx = ctx
 	}
 	results := e.ProveMany(reqs)
 	close(stop)
@@ -438,7 +449,7 @@ func TestTracedProveManyRace(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
 		}
-		if err := e.VerifyCtx(ctx, results[0].Keys.VK, r.Proof, publicOf(reqs[i].Witness)); err != nil {
+		if err := e.VerifyCtx(ctx, results[0].Keys.VK, r.Proof, reqs[i].Public); err != nil {
 			t.Fatalf("verify %d: %v", i, err)
 		}
 	}

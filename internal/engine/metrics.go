@@ -29,10 +29,8 @@ var (
 
 	mProvesTotal = obs.Default().Counter("zkrownn_proves_total",
 		"Proofs produced.")
-	mStreamProvesTotal = obs.Default().Counter("zkrownn_stream_proves_total",
-		"Proofs produced by the out-of-core (streamed-key) backend.")
 	mSpillProvesTotal = obs.Default().Counter("zkrownn_spill_proves_total",
-		"Proofs produced fully out-of-core (streamed key, disk-resident CSR, spilled witness).")
+		"Proofs produced out-of-core (streamed key, disk-resident CSR, spilled witness).")
 	mProveErrorsTotal = obs.Default().Counter("zkrownn_prove_errors_total",
 		"Prove requests that failed at any stage.")
 	mVerifiesTotal = obs.Default().Counter("zkrownn_verifies_total",

@@ -1,10 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/groth16"
+	"zkrownn/internal/r1cs"
 )
 
 // cachedPKPath returns the framed proving-key file the disk tier wrote
@@ -26,7 +31,7 @@ func TestDiskCacheRejectsTruncatedKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 
 	e1 := New(Options{CacheDir: dir, Rand: rng})
-	r1, err := e1.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	r1, err := e1.Prove(cubicRequest(5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +45,7 @@ func TestDiskCacheRejectsTruncatedKey(t *testing.T) {
 	}
 
 	e2 := New(Options{CacheDir: dir, Rand: rng})
-	r2, err := e2.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 4)})
+	r2, err := e2.Prove(cubicRequest(5, 4))
 	if err != nil {
 		t.Fatalf("prove over truncated cache file: %v", err)
 	}
@@ -57,7 +62,7 @@ func TestDiskCacheRejectsTruncatedKey(t *testing.T) {
 	// The repaired entry must have been rewritten: a third engine now
 	// hits disk again.
 	e3 := New(Options{CacheDir: dir, Rand: rng})
-	r3, err := e3.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 6)})
+	r3, err := e3.Prove(cubicRequest(5, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func TestDiskCacheRejectsBitFlip(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 
 	e1 := New(Options{CacheDir: dir, Rand: rng})
-	r1, err := e1.Prove(Request{System: cubicSystem(7), Witness: cubicWitness(7, 3)})
+	r1, err := e1.Prove(cubicRequest(7, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +93,7 @@ func TestDiskCacheRejectsBitFlip(t *testing.T) {
 	}
 
 	e2 := New(Options{CacheDir: dir, Rand: rng})
-	r2, err := e2.Prove(Request{System: cubicSystem(7), Witness: cubicWitness(7, 4)})
+	r2, err := e2.Prove(cubicRequest(7, 4))
 	if err != nil {
 		t.Fatalf("prove over corrupted cache file: %v", err)
 	}
@@ -109,7 +114,7 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 
 	e1 := New(Options{CacheDir: dir, MemoryBudget: 1, Rand: rng})
 	defer e1.Close()
-	r1, err := e1.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	r1, err := e1.Prove(cubicRequest(5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +132,7 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 	}
 
 	// Same digest again: the open streamed key is reused from memory.
-	r2, err := e1.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 7)})
+	r2, err := e1.Prove(cubicRequest(5, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +140,14 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 		t.Fatal("second streamed prove must hit the in-memory key cache")
 	}
 	st := e1.Stats()
-	if st.Setups != 1 || st.StreamProves != 2 {
-		t.Fatalf("stats = %+v, want 1 setup and 2 streamed proves", st)
+	if st.Setups != 1 || st.SpillProves != 2 {
+		t.Fatalf("stats = %+v, want 1 setup and 2 out-of-core proves", st)
 	}
 
 	// Restart: the spilled raw key in CacheDir serves a cold engine.
 	e2 := New(Options{CacheDir: dir, MemoryBudget: 1, Rand: rng})
 	defer e2.Close()
-	r3, err := e2.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 4)})
+	r3, err := e2.Prove(cubicRequest(5, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,30 +164,47 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamedProofMatchesInMemoryEngine proves the same circuit with
-// the same engine randomness in both modes and requires identical proof
-// bytes — the engine-level replica of the groth16 oracle.
-func TestStreamedProofMatchesInMemoryEngine(t *testing.T) {
+// TestMidBudgetProofMatchesInMemoryEngine sets the memory budget below
+// the raw proving key but above the constraint system plus one witness.
+// The engine has exactly two modes, so such a budget must prove fully
+// out-of-core — not stream the key alone — and still emit the in-memory
+// proof's bytes.
+func TestMidBudgetProofMatchesInMemoryEngine(t *testing.T) {
 	sys := cubicSystem(5)
-	w := cubicWitness(5, 3)
+	raw, err := groth16.RawPKSizeBytes(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := r1cs.CSRRawSizeBytes(sys) + int64(sys.NbWires)*int64(8*fr.Limbs)
+	if resident >= raw {
+		t.Fatalf("CSR + witness (%d B) must undercut the raw key (%d B)", resident, raw)
+	}
 
 	inMem := New(Options{Rand: rand.New(rand.NewSource(34))})
-	rIn, err := inMem.Prove(Request{System: sys, Witness: w})
+	rIn, err := inMem.Prove(cubicRequest(5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	streamed := New(Options{CacheDir: t.TempDir(), MemoryBudget: 1, Rand: rand.New(rand.NewSource(34))})
-	defer streamed.Close()
-	rSt, err := streamed.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	mid := New(Options{CacheDir: t.TempDir(), MemoryBudget: (resident + raw) / 2, Rand: rand.New(rand.NewSource(34))})
+	defer mid.Close()
+	rMid, err := mid.Prove(cubicRequest(5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rSt.Keys.Streamed() {
-		t.Fatal("expected streamed mode")
+	if st := mid.Stats(); st.SpillProves != 1 || rMid.Keys.CSFile == nil || rMid.Witness != nil {
+		t.Fatalf("mid budget did not prove fully out-of-core (stats %+v, csr file %v, resident witness %v)",
+			st, rMid.Keys.CSFile != nil, rMid.Witness != nil)
 	}
-	if !rIn.Proof.Ar.Equal(&rSt.Proof.Ar) || !rIn.Proof.Bs.Equal(&rSt.Proof.Bs) || !rIn.Proof.Krs.Equal(&rSt.Proof.Krs) {
-		t.Fatal("streamed engine proof diverges from in-memory engine proof")
+	var want, got bytes.Buffer
+	if _, err := rIn.Proof.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rMid.Proof.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatal("out-of-core engine proof bytes diverge from the in-memory engine proof")
 	}
 }
 
@@ -204,7 +226,7 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r1.Keys.Streamed() || !r1.Keys.Spilled() {
+	if !r1.Keys.Streamed() || r1.Keys.CSFile == nil {
 		t.Fatal("1-byte budget must force full out-of-core mode")
 	}
 	if r1.Witness != nil {
@@ -220,7 +242,7 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, r1.Digest+".csr")); err != nil {
 		t.Fatalf("expected CSR spill file beside the key: %v", err)
 	}
-	if st := e1.Stats(); st.SpillProves != 1 || st.StreamProves != 1 || st.Solves != 1 {
+	if st := e1.Stats(); st.SpillProves != 1 || st.Solves != 1 {
 		t.Fatalf("stats = %+v, want 1 spilled prove and 1 solve", st)
 	}
 
@@ -248,8 +270,8 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r3.CacheHit || !r3.Keys.Spilled() {
-		t.Fatalf("restart must stream keys and CSR from disk (hit=%v, spilled=%v)", r3.CacheHit, r3.Keys.Spilled())
+	if !r3.CacheHit || r3.Keys.CSFile == nil {
+		t.Fatalf("restart must stream keys and CSR from disk (hit=%v, csr file=%v)", r3.CacheHit, r3.Keys.CSFile != nil)
 	}
 	if err := e2.Verify(r1.Keys.VK, r3.Proof, r3.PublicInputs); err != nil {
 		t.Fatalf("restarted spilled proof rejected by original VK: %v", err)
@@ -295,7 +317,7 @@ func TestSpilledProofMatchesInMemoryEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rSp.Keys.Spilled() {
+	if !rSp.Keys.Streamed() {
 		t.Fatal("expected full out-of-core mode")
 	}
 	if !rIn.Proof.Ar.Equal(&rSp.Proof.Ar) || !rIn.Proof.Bs.Equal(&rSp.Proof.Bs) || !rIn.Proof.Krs.Equal(&rSp.Proof.Krs) {
@@ -310,7 +332,7 @@ func TestSpilledProofMatchesInMemoryEngine(t *testing.T) {
 // the raw key spills to a temp directory that Close removes.
 func TestStreamedEngineTempSpill(t *testing.T) {
 	e := New(Options{MemoryBudget: 1, Rand: rand.New(rand.NewSource(35))})
-	r1, err := e.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	r1, err := e.Prove(cubicRequest(5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,66 +310,71 @@ func singleG2(t *curve.G2FixedBaseTable, k *fr.Element) curve.G2Affine {
 // normally obtain it from CompiledSystem.Solve (or the frontend's eager
 // compile result).
 func Prove(sys *r1cs.CompiledSystem, pk *ProvingKey, witness []fr.Element, rng io.Reader) (*Proof, error) {
-	return prove(sys, pk, memWitness(witness), rng, nil)
+	return ProveTraced(sys, pk, witness, rng, nil)
 }
 
 // ProveTraced is Prove recording per-phase spans (witness check, scalar
 // recoding, each query MSM, the quotient pipeline) on tr. A nil tr is
 // the untraced fast path — identical to Prove.
+//
+// This is the in-memory prover mode; ProveStreamedSpilled is the
+// out-of-core one. The two differ only in how they compute the
+// witness-dependent MSMs and share blind, so with the same seeded rng
+// they emit byte-identical proofs.
 func ProveTraced(sys *r1cs.CompiledSystem, pk *ProvingKey, witness []fr.Element, rng io.Reader, tr *obs.Trace) (*Proof, error) {
-	return prove(sys, pk, memWitness(witness), rng, tr)
+	d := sys.Dims()
+	if err := checkWireCount(len(witness), d); err != nil {
+		return nil, err
+	}
+	sp := tr.Span("prove/satisfy")
+	ok, bad := sys.IsSatisfied(witness)
+	sp.End()
+	if !ok {
+		return nil, errUnsatisfied(bad)
+	}
+	if err := pk.checkShape(d); err != nil {
+		return nil, err
+	}
+
+	// One recoding serves the A, B1 and B2 queries: digits depend only
+	// on the scalars, not the group.
+	sp = tr.Span("prove/recode")
+	dec := curve.DecomposeScalars(witness, curve.MSMWindowSize(len(witness)))
+	sp.End()
+	var m proofMSMs
+	m.a = curve.MultiExpG1DecomposedTraced(pk.A, dec, tr, "msm/A")
+	m.b2 = curve.MultiExpG2DecomposedTraced(pk.B2, dec, tr, "msm/B2")
+	m.b1 = curve.MultiExpG1DecomposedTraced(pk.B1, dec, tr, "msm/B1")
+	m.c = curve.MultiExpG1Traced(pk.K, witness[d.NbPublic:], tr, "msm/K")
+	h, err := quotient(sys, pk.DomainSize, witness, tr)
+	if err != nil {
+		return nil, err
+	}
+	z := curve.MultiExpG1Traced(pk.Z, h, tr, "msm/Z")
+	releaseQuotient(h)
+	m.c.AddAssign(&z)
+	return m.blind(pk.header(), rng)
 }
 
-// pkHeader is the handful of single points every prover backend exposes
+// checkWireCount rejects a witness whose length does not match the
+// system, before any constraint is evaluated.
+func checkWireCount(n int, d r1cs.Dims) error {
+	if n != d.NbWires {
+		return fmt.Errorf("groth16: witness has %d wires, system expects %d", n, d.NbWires)
+	}
+	return nil
+}
+
+func errUnsatisfied(bad int) error {
+	return fmt.Errorf("groth16: witness does not satisfy constraint %d", bad)
+}
+
+// pkHeader is the handful of single points every proving key carries
 // alongside its query sections.
 type pkHeader struct {
 	AlphaG1, BetaG1, DeltaG1 curve.G1Affine
 	BetaG2, DeltaG2          curve.G2Affine
 	DomainSize               uint64
-}
-
-// proverKey abstracts the structured reference string the prover
-// consumes: the fully in-memory ProvingKey and the disk-backed
-// StreamedProvingKey both implement it, so the two modes share one
-// prove flow and cannot drift. Chunking only changes the order partial
-// sums fold in — MSM linearity plus canonical affine normalization make
-// the resulting proofs byte-identical across backends.
-type proverKey interface {
-	header() pkHeader
-	// checkShape verifies the key's query sections match the system's
-	// dimensions before any randomness is drawn.
-	checkShape(d r1cs.Dims) error
-	// prepWitness binds the witness for the three wire-query MSMs,
-	// choosing the backend's recoding strategy. Backends that cannot
-	// serve the witness's residency (the in-memory key with a spilled
-	// witness) reject here, before randomness is drawn.
-	prepWitness(w *witnessSrc) (witnessExp, error)
-	// The exp methods record their spans on tr (nil disables tracing at
-	// zero cost — the *Trace methods are nil-receiver no-ops).
-	expA(w witnessExp, tr *obs.Trace) (curve.G1Jac, error)
-	expB1(w witnessExp, tr *obs.Trace) (curve.G1Jac, error)
-	expB2(w witnessExp, tr *obs.Trace) (curve.G2Jac, error)
-	// expK runs the private-wire query over wires [nbPublic, NbWires).
-	expK(w witnessExp, nbPublic int, tr *obs.Trace) (curve.G1Jac, error)
-	// expZQuotient computes h = (A·B - C)/Z and immediately folds it
-	// into the Z-query MSM, choosing the backend's memory strategy: two
-	// resident domain vectors in memory, or the out-of-core pipeline
-	// (disk-resident vectors, bounded-memory FFTs, MSM scalars streamed
-	// from the h file). Field arithmetic is exact and fr encodings are
-	// canonical, so h — and the proof — is bit-equal either way. Fusing
-	// the two steps lets the streamed backend never materialize h.
-	expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, tr *obs.Trace) (curve.G1Jac, error)
-}
-
-// witnessExp carries the witness for the A, B1, and B2 queries. The
-// in-memory backend recodes the whole vector once up front (dec is
-// shared across the three MSMs — digits depend only on the scalars, not
-// the group); the streamed backend leaves dec nil and recodes lazily
-// chunk by chunk inside each MSM, keeping resident digit memory at one
-// chunk's worth instead of two bytes per window per wire.
-type witnessExp struct {
-	src *witnessSrc
-	dec *curve.ScalarDecomposition
 }
 
 func (pk *ProvingKey) header() pkHeader {
@@ -393,75 +398,28 @@ func (pk *ProvingKey) checkShape(d r1cs.Dims) error {
 	return nil
 }
 
-func (pk *ProvingKey) prepWitness(w *witnessSrc) (witnessExp, error) {
-	if w.mem == nil {
-		// The fully materialized key dwarfs the witness; pairing it with
-		// a spilled witness would be a configuration bug, not a memory
-		// win.
-		return witnessExp{}, errors.New("groth16: in-memory proving key requires a resident witness")
-	}
-	return witnessExp{
-		src: w,
-		dec: curve.DecomposeScalars(w.mem, curve.MSMWindowSize(len(w.mem))),
-	}, nil
+// proofMSMs are a proof's witness-dependent multi-exponentiations, the
+// only part of proving that depends on where the key and witness live:
+//
+//	a  = Σ wⱼ·[uⱼ(τ)]₁     b1 = Σ wⱼ·[vⱼ(τ)]₁     b2 = Σ wⱼ·[vⱼ(τ)]₂
+//	c  = Σ_priv wⱼ·Kⱼ + Σ hᵢ·Zᵢ, h the quotient (A·B - C)/Z
+//
+// MSM linearity plus canonical affine normalization make them equal
+// whichever mode computed them.
+type proofMSMs struct {
+	a, b1, c curve.G1Jac
+	b2       curve.G2Jac
 }
 
-func (pk *ProvingKey) expA(w witnessExp, tr *obs.Trace) (curve.G1Jac, error) {
-	return curve.MultiExpG1DecomposedTraced(pk.A, w.dec, tr, "msm/A"), nil
-}
-
-func (pk *ProvingKey) expB1(w witnessExp, tr *obs.Trace) (curve.G1Jac, error) {
-	return curve.MultiExpG1DecomposedTraced(pk.B1, w.dec, tr, "msm/B1"), nil
-}
-
-func (pk *ProvingKey) expB2(w witnessExp, tr *obs.Trace) (curve.G2Jac, error) {
-	return curve.MultiExpG2DecomposedTraced(pk.B2, w.dec, tr, "msm/B2"), nil
-}
-
-func (pk *ProvingKey) expK(w witnessExp, nbPublic int, tr *obs.Trace) (curve.G1Jac, error) {
-	return curve.MultiExpG1Traced(pk.K, w.src.mem[nbPublic:], tr, "msm/K"), nil
-}
-
-func (pk *ProvingKey) expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, tr *obs.Trace) (curve.G1Jac, error) {
-	cs, ok := sys.(*r1cs.CompiledSystem)
-	if !ok || w.mem == nil {
-		return curve.G1Jac{}, errors.New("groth16: in-memory proving key requires a resident system and witness")
-	}
-	h, err := quotient(cs, domainSize, w.mem, tr)
-	if err != nil {
-		return curve.G1Jac{}, err
-	}
-	res := curve.MultiExpG1Traced(pk.Z, h, tr, "msm/Z")
-	releaseQuotient(h)
-	return res, nil
-}
-
-// prove is the backend-agnostic prover core shared by Prove and
-// ProveStreamed. Randomness is drawn in a fixed order (r then s), so a
-// seeded rng yields identical proofs from either backend. tr, when
-// non-nil, receives one span per prover phase.
-func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr *obs.Trace) (*Proof, error) {
+// blind draws the prover randomness — in a fixed order, r then s — and
+// folds it with the key header into the proof:
+//
+//	A = α + a + r·δ     B = β + b2 + s·δ     (B1 = β + b1 + s·δ in G1)
+//	C = c + s·A + r·B1 - r·s·δ
+func (m *proofMSMs) blind(hdr pkHeader, rng io.Reader) (*Proof, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	d := sys.Dims()
-	if w.len() != d.NbWires {
-		return nil, fmt.Errorf("groth16: witness has %d wires, system expects %d", w.len(), d.NbWires)
-	}
-	sp := tr.Span("prove/satisfy")
-	ok, bad, err := checkSatisfied(sys, w, tr)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("groth16: satisfy check: %w", err)
-	}
-	if !ok {
-		return nil, fmt.Errorf("groth16: witness does not satisfy constraint %d", bad)
-	}
-	if err := pk.checkShape(d); err != nil {
-		return nil, err
-	}
-	hdr := pk.header()
-
 	rScalar, err := randFr(rng)
 	if err != nil {
 		return nil, err
@@ -471,18 +429,7 @@ func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr 
 		return nil, err
 	}
 
-	sp = tr.Span("prove/recode")
-	wExp, err := pk.prepWitness(w)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// A = α + Σ wⱼ·[uⱼ(τ)]₁ + r·δ
-	aJac, err := pk.expA(wExp, tr)
-	if err != nil {
-		return nil, err
-	}
+	aJac := m.a
 	var term curve.G1Jac
 	var aAlpha curve.G1Jac
 	aAlpha.FromAffine(&hdr.AlphaG1)
@@ -491,11 +438,7 @@ func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr 
 	term.ScalarMul(&term, &rScalar)
 	aJac.AddAssign(&term)
 
-	// B2 = β + Σ wⱼ·[vⱼ(τ)]₂ + s·δ  (and its G1 shadow for C).
-	b2Jac, err := pk.expB2(wExp, tr)
-	if err != nil {
-		return nil, err
-	}
+	b2Jac := m.b2
 	var b2Beta curve.G2Jac
 	b2Beta.FromAffine(&hdr.BetaG2)
 	b2Jac.AddAssign(&b2Beta)
@@ -504,10 +447,7 @@ func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr 
 	term2.ScalarMul(&term2, &sScalar)
 	b2Jac.AddAssign(&term2)
 
-	b1Jac, err := pk.expB1(wExp, tr)
-	if err != nil {
-		return nil, err
-	}
+	b1Jac := m.b1
 	var b1Beta curve.G1Jac
 	b1Beta.FromAffine(&hdr.BetaG1)
 	b1Jac.AddAssign(&b1Beta)
@@ -515,18 +455,7 @@ func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr 
 	term.ScalarMul(&term, &sScalar)
 	b1Jac.AddAssign(&term)
 
-	// C = Σ_priv wⱼ·Kⱼ + Σ hᵢ·Zᵢ + s·A + r·B1 - r·s·δ, where h is the
-	// quotient polynomial (A·B - C)/Z computed via coset FFTs.
-	cJac, err := pk.expK(wExp, d.NbPublic, tr)
-	if err != nil {
-		return nil, err
-	}
-	hMSM, err := pk.expZQuotient(sys, hdr.DomainSize, w, tr)
-	if err != nil {
-		return nil, err
-	}
-	cJac.AddAssign(&hMSM)
-
+	cJac := m.c
 	var sA curve.G1Jac
 	sA.Set(&aJac)
 	sA.ScalarMul(&sA, &sScalar)

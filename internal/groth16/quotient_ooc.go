@@ -6,7 +6,6 @@ import (
 
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/obs"
-	"zkrownn/internal/par"
 	"zkrownn/internal/poly"
 	"zkrownn/internal/r1cs"
 )
@@ -30,7 +29,7 @@ import (
 // tr, when non-nil, records one span per stage (matrix evaluation,
 // each out-of-core transform with its split/mem/combine phases, the
 // streamed pointwise merges) under an "ooc/" prefix.
-func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, dir string, tr *obs.Trace) (*poly.VecFile, error) {
+func quotientOOC(sys r1cs.Constraints, domainSize uint64, wf *r1cs.WitnessFile, dir string, tr *obs.Trace) (*poly.VecFile, error) {
 	domain, err := poly.NewDomain(domainSize)
 	if err != nil {
 		return nil, err
@@ -52,8 +51,8 @@ func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, d
 	// a fresh disk vector (rows [nbCons, n) zero) and carries it to the
 	// coset, exactly as the in-memory quotient does. The matrix streams
 	// in bounded row windows (a no-op view for resident systems); rows
-	// evaluate in parallel when the witness is resident, serially when
-	// it reads through the spill store's single-goroutine page cache.
+	// evaluate serially, reading through the spill store's
+	// single-goroutine page cache.
 	cosetEval := func(ms r1cs.MatrixStream, name string) (*poly.VecFile, error) {
 		vf, err := poly.CreateVecFile(dir, n)
 		if err != nil {
@@ -65,7 +64,6 @@ func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, d
 		}
 		w := vf.NewWriter()
 		win := &r1cs.RowWindow{}
-		var evals []fr.Element
 		for start := 0; start < nbCons; {
 			end := ms.EndRowForTerms(start, r1cs.DefaultRowWindowTerms)
 			if err := ms.LoadRows(win, start, end); err != nil {
@@ -73,29 +71,14 @@ func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, d
 				return nil, err
 			}
 			spw := tr.Span("csr/row-window")
-			rows := end - start
-			if cap(evals) < rows {
-				evals = make([]fr.Element, rows)
-			}
-			ev := evals[:rows]
-			if witness.mem != nil {
-				par.Range(rows, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						ev[i] = win.RowEval(i, witness.mem)
-					}
-				})
-			} else {
-				for i := 0; i < rows; i++ {
-					ev[i] = rowEvalSrc(win, i, witness)
-				}
-			}
-			for i := range ev {
-				w.Append(&ev[i])
+			for i := 0; i < win.Rows; i++ {
+				v := rowEval(win, i, wf)
+				w.Append(&v)
 			}
 			spw.End()
 			start = end
 		}
-		if err := witness.fileErr(); err != nil {
+		if err := wf.Err(); err != nil {
 			vf.Close()
 			return nil, err
 		}

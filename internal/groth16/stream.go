@@ -67,10 +67,9 @@ type rawSection struct {
 
 // StreamedProvingKey is a proving key that stays on disk: it holds the
 // handful of header points in memory plus the offsets of the five query
-// sections in an io.ReaderAt over the raw encoding. It implements the
-// same prover backend interface as ProvingKey, so ProveStreamed yields
-// byte-identical proofs while reading each section once per proof
-// through a bounded window.
+// sections in an io.ReaderAt over the raw encoding. ProveStreamedSpilled
+// reads each section once per proof through a bounded window and yields
+// the proofs the in-memory ProvingKey would.
 //
 // The ReaderAt must serve overlapping lifetimes: a StreamedProvingKey
 // may be shared across goroutines (ReaderAt is required to be safe for
@@ -174,8 +173,6 @@ func (pk *StreamedProvingKey) chunkSize() int {
 	return curve.DefaultStreamChunk
 }
 
-func (pk *StreamedProvingKey) header() pkHeader { return pk.hdr }
-
 func (pk *StreamedProvingKey) checkShape(d r1cs.Dims) error {
 	m := d.NbWires
 	if pk.secA.n != m || pk.secB1.n != m || pk.secB2.n != m {
@@ -193,49 +190,72 @@ func (pk *StreamedProvingKey) checkShape(d r1cs.Dims) error {
 	return nil
 }
 
-// prepWitness leaves the shared decomposition nil: the streamed MSMs
-// recode each chunk's scalars on the fly, so digit memory stays bounded
-// by the chunk size instead of scaling with the wire count. Both
-// witness residencies work — a spilled witness streams through the
-// scalar-source path below.
-func (pk *StreamedProvingKey) prepWitness(w *witnessSrc) (witnessExp, error) {
-	return witnessExp{src: w}, nil
-}
-
-// streamG1 runs one G1 query section through the chunked MSM with lazy
-// per-chunk scalar recoding, streaming the scalars from the spill file
-// when the witness is not resident. off is the first wire the section
-// covers (NbPublic for the K query, 0 otherwise); n is the section's
-// scalar count.
-func (pk *StreamedProvingKey) streamG1(sec rawSection, w witnessExp, off, n int, tr *obs.Trace, label string) (curve.G1Jac, error) {
-	c := curve.StreamWindowSize(n, pk.chunkSize())
-	src := curve.NewG1RawSource(pk.r, sec.off)
-	if w.src.mem != nil {
-		return curve.MultiExpG1StreamScalarsTraced(src, w.src.mem[off:off+n], c, pk.chunkSize(), tr, label)
+// ProveStreamedSpilled is the out-of-core prover mode: the key streams
+// from its raw file, the constraint rows from sys (a
+// *r1cs.CompiledSystemFile in the engine; a resident system works too)
+// in bounded row windows, and the witness from a spilled store through
+// its bounded page cache, while the quotient lives in disk vectors. No
+// circuit-sized object is ever fully resident. The store must hold a
+// finished solve (r1cs.CompiledSystem.SolveSpilled).
+//
+// With the same system, witness and seeded rng the proof is
+// byte-identical to ProveTraced with the materialized key: the spill
+// roundtrip preserves encodings bit for bit, chunking only reassociates
+// the MSM partial sums, and affine normalization is canonical. tr, when
+// non-nil, records the out-of-core quotient stages and the per-chunk
+// read/recode/msm breakdown of each streamed section.
+func ProveStreamedSpilled(sys r1cs.Constraints, pk *StreamedProvingKey, wf *r1cs.WitnessFile, rng io.Reader, tr *obs.Trace) (*Proof, error) {
+	d := sys.Dims()
+	if err := checkWireCount(wf.Len(), d); err != nil {
+		return nil, err
 	}
-	return curve.MultiExpG1StreamScalarSourceTraced(src, w.src.source(off, tr), n, c, pk.chunkSize(), tr, label)
-}
-
-func (pk *StreamedProvingKey) expA(w witnessExp, tr *obs.Trace) (curve.G1Jac, error) {
-	return pk.streamG1(pk.secA, w, 0, w.src.len(), tr, "stream/A")
-}
-
-func (pk *StreamedProvingKey) expB1(w witnessExp, tr *obs.Trace) (curve.G1Jac, error) {
-	return pk.streamG1(pk.secB1, w, 0, w.src.len(), tr, "stream/B1")
-}
-
-func (pk *StreamedProvingKey) expB2(w witnessExp, tr *obs.Trace) (curve.G2Jac, error) {
-	n := w.src.len()
-	c := curve.StreamWindowSize(n, pk.chunkSize())
-	src := curve.NewG2RawSource(pk.r, pk.secB2.off)
-	if w.src.mem != nil {
-		return curve.MultiExpG2StreamScalarsTraced(src, w.src.mem, c, pk.chunkSize(), tr, "stream/B2")
+	sp := tr.Span("prove/satisfy")
+	ok, bad, err := checkSatisfied(sys, wf, tr)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("groth16: satisfy check: %w", err)
 	}
-	return curve.MultiExpG2StreamScalarSourceTraced(src, w.src.source(0, tr), n, c, pk.chunkSize(), tr, "stream/B2")
+	if !ok {
+		return nil, errUnsatisfied(bad)
+	}
+	if err := pk.checkShape(d); err != nil {
+		return nil, err
+	}
+
+	// Each section's MSM recodes its scalars chunk by chunk as they
+	// stream in, so digit memory stays at one chunk's worth.
+	m := d.NbWires
+	var msm proofMSMs
+	if msm.a, err = pk.streamG1(pk.secA, wf, 0, m, tr, "stream/A"); err != nil {
+		return nil, err
+	}
+	chunk := pk.chunkSize()
+	msm.b2, err = curve.MultiExpG2StreamScalarSourceTraced(curve.NewG2RawSource(pk.r, pk.secB2.off),
+		witnessSource(wf, 0, tr), m, curve.StreamWindowSize(m, chunk), chunk, tr, "stream/B2")
+	if err != nil {
+		return nil, err
+	}
+	if msm.b1, err = pk.streamG1(pk.secB1, wf, 0, m, tr, "stream/B1"); err != nil {
+		return nil, err
+	}
+	if msm.c, err = pk.streamG1(pk.secK, wf, d.NbPublic, m-d.NbPublic, tr, "stream/K"); err != nil {
+		return nil, err
+	}
+	z, err := pk.expZQuotient(sys, wf, tr)
+	if err != nil {
+		return nil, err
+	}
+	msm.c.AddAssign(&z)
+	return msm.blind(pk.hdr, rng)
 }
 
-func (pk *StreamedProvingKey) expK(w witnessExp, nbPublic int, tr *obs.Trace) (curve.G1Jac, error) {
-	return pk.streamG1(pk.secK, w, nbPublic, w.src.len()-nbPublic, tr, "stream/K")
+// streamG1 runs one G1 query section through the chunked MSM, streaming
+// its points from the raw key and its scalars — wires [off, off+n) —
+// from the spilled witness.
+func (pk *StreamedProvingKey) streamG1(sec rawSection, wf *r1cs.WitnessFile, off, n int, tr *obs.Trace, label string) (curve.G1Jac, error) {
+	chunk := pk.chunkSize()
+	return curve.MultiExpG1StreamScalarSourceTraced(curve.NewG1RawSource(pk.r, sec.off),
+		witnessSource(wf, off, tr), n, curve.StreamWindowSize(n, chunk), chunk, tr, label)
 }
 
 // expZQuotient runs the fully out-of-core tail of the proof: the
@@ -243,50 +263,18 @@ func (pk *StreamedProvingKey) expK(w witnessExp, nbPublic int, tr *obs.Trace) (c
 // most half a domain vector resident), and the Z-section MSM streams
 // both its points (from the raw key) and its scalars (from the h file)
 // in bounded chunks. h never exists in memory.
-func (pk *StreamedProvingKey) expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, tr *obs.Trace) (curve.G1Jac, error) {
-	hf, err := quotientOOC(sys, domainSize, w, pk.SpillDir, tr)
+func (pk *StreamedProvingKey) expZQuotient(sys r1cs.Constraints, wf *r1cs.WitnessFile, tr *obs.Trace) (curve.G1Jac, error) {
+	hf, err := quotientOOC(sys, pk.hdr.DomainSize, wf, pk.SpillDir, tr)
 	if err != nil {
 		return curve.G1Jac{}, err
 	}
 	defer hf.Close()
 	nScalars := hf.Len() - 1 // deg h ≤ n-2: the key's Z section has n-1 points
-	c := curve.StreamWindowSize(nScalars, pk.chunkSize())
+	chunk := pk.chunkSize()
 	return curve.MultiExpG1StreamScalarSourceTraced(
 		curve.NewG1RawSource(pk.r, pk.secZ.off),
 		func(dst []fr.Element, start int) error { return hf.ReadAt(dst, start) },
-		nScalars, c, pk.chunkSize(), tr, "stream/Z")
-}
-
-// ProveStreamed produces a proof using a disk-backed key. With the same
-// system, witness, and seeded rng it returns proofs byte-identical to
-// Prove with the fully materialized key: chunking only reassociates the
-// MSM partial sums, and affine normalization is canonical. sys may be a
-// resident *r1cs.CompiledSystem or a *r1cs.CompiledSystemFile — the
-// satisfy and quotient-eval loops then stream the matrices in bounded
-// row windows.
-func ProveStreamed(sys r1cs.Constraints, pk *StreamedProvingKey, witness []fr.Element, rng io.Reader) (*Proof, error) {
-	return prove(sys, pk, memWitness(witness), rng, nil)
-}
-
-// ProveStreamedTraced is ProveStreamed recording per-phase spans —
-// including the out-of-core quotient stages and the per-chunk
-// read/recode/msm breakdown of each streamed section — on tr. A nil tr
-// is the untraced fast path.
-func ProveStreamedTraced(sys r1cs.Constraints, pk *StreamedProvingKey, witness []fr.Element, rng io.Reader, tr *obs.Trace) (*Proof, error) {
-	return prove(sys, pk, memWitness(witness), rng, tr)
-}
-
-// ProveStreamedSpilled is ProveStreamed with the witness in a spilled
-// store instead of RAM: constraint evaluation reads wires through the
-// store's bounded page cache and every MSM streams witness scalars
-// from the file, so neither the key, the matrices (with a file-backed
-// sys), the witness, nor the quotient is ever fully resident. The
-// store must hold a finished solve (r1cs.CompiledSystem.SolveSpilled).
-// Proofs are byte-identical to the resident path under the same seeded
-// rng — the spill roundtrip preserves encodings bit for bit and MSM
-// chunking is exact.
-func ProveStreamedSpilled(sys r1cs.Constraints, pk *StreamedProvingKey, wf *r1cs.WitnessFile, rng io.Reader, tr *obs.Trace) (*Proof, error) {
-	return prove(sys, pk, &witnessSrc{file: wf}, rng, tr)
+		nScalars, curve.StreamWindowSize(nScalars, chunk), chunk, tr, "stream/Z")
 }
 
 // setupSpillChunk is the number of scalars multiplied per batch while

@@ -9,6 +9,23 @@ import (
 	"zkrownn/internal/r1cs"
 )
 
+// spillWitness solves sys for the assignment inside witness (every
+// FromSystem wire is an input) into a fresh spill store with the
+// minimum page cache.
+func spillWitness(t *testing.T, sys *r1cs.CompiledSystem, witness []fr.Element) *r1cs.WitnessFile {
+	t.Helper()
+	wf, err := r1cs.NewWitnessFile(t.TempDir(), sys.NbWires, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wf.Close() })
+	asg := sys.WitnessAssignment(witness)
+	if err := sys.SolveSpilled(asg.Public, asg.Secret, wf, nil); err != nil {
+		t.Fatal(err)
+	}
+	return wf
+}
+
 // openStreamed wraps a raw proving-key buffer in a StreamedProvingKey
 // with a tiny chunk so the 5-wire cubic system actually exercises the
 // chunked MSM path (multiple partial chunks per section).
@@ -88,9 +105,10 @@ func TestRawPKSizeBytes(t *testing.T) {
 }
 
 // TestProveStreamedMatchesProve is the bit-identity oracle at the
-// groth16 layer: with the same prover randomness, the streamed prover
-// must emit exactly the proof bytes of the in-memory prover, across
-// chunk sizes that fragment the 5-point sections differently.
+// groth16 layer: with the same prover randomness, the out-of-core prover
+// (streamed key, spilled witness) must emit exactly the proof bytes of
+// the in-memory prover, across chunk sizes that fragment the 5-point
+// sections differently.
 func TestProveStreamedMatchesProve(t *testing.T) {
 	sys := cubicSystem()
 	pk, vk, err := Setup(sys, rand.New(rand.NewSource(92)))
@@ -114,9 +132,9 @@ func TestProveStreamedMatchesProve(t *testing.T) {
 
 	for _, chunk := range []int{1, 2, 3, 64} {
 		spk := openStreamed(t, raw.Bytes(), chunk)
-		got, err := ProveStreamed(sys, spk, witness, rand.New(rand.NewSource(93)))
+		got, err := ProveStreamedSpilled(sys, spk, spillWitness(t, sys, witness), rand.New(rand.NewSource(93)), nil)
 		if err != nil {
-			t.Fatalf("chunk=%d: ProveStreamed: %v", chunk, err)
+			t.Fatalf("chunk=%d: ProveStreamedSpilled: %v", chunk, err)
 		}
 		var gotBuf bytes.Buffer
 		if _, err := got.WriteTo(&gotBuf); err != nil {
@@ -177,7 +195,7 @@ func TestStreamedCheckShape(t *testing.T) {
 	witness := make([]fr.Element, other.NbWires)
 	copy(witness, cubicWitness(3))
 	witness[0].SetOne()
-	if _, err := ProveStreamed(other, spk, witness, rand.New(rand.NewSource(96))); err == nil {
-		t.Fatal("ProveStreamed accepted a key with mismatched shape")
+	if _, err := ProveStreamedSpilled(other, spk, spillWitness(t, other, witness), rand.New(rand.NewSource(96)), nil); err == nil {
+		t.Fatal("ProveStreamedSpilled accepted a key with mismatched shape")
 	}
 }

@@ -1,72 +1,36 @@
 package groth16
 
 import (
-	"sync/atomic"
-
 	"zkrownn/internal/bn254/curve"
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/obs"
-	"zkrownn/internal/par"
 	"zkrownn/internal/r1cs"
 )
 
-// witnessSrc is the prover's view of a full wire assignment: exactly
-// one of mem (resident slice) or file (spilled r1cs.WitnessFile) is
-// set. The streamed backend reads a spilled witness through the same
-// ScalarSource path it already uses for disk-resident quotient
-// scalars, so neither side of a wire-query MSM need be resident.
-type witnessSrc struct {
-	mem  []fr.Element
-	file *r1cs.WitnessFile
-}
+// The out-of-core prover reads its spilled witness two ways: constraint
+// rows gather wires at random through the store's page cache (rowEval),
+// and the wire-query MSMs stream wire ranges sequentially as scalar
+// chunks (witnessSource). The page cache is single-goroutine, so both
+// run serially; the store's read errors are sticky and checked once per
+// window.
 
-func memWitness(w []fr.Element) *witnessSrc { return &witnessSrc{mem: w} }
-
-func (w *witnessSrc) len() int {
-	if w.mem != nil {
-		return len(w.mem)
-	}
-	return w.file.Len()
-}
-
-// at returns wire i — the slow-path single-element read used outside
-// hot loops (the constant-wire check).
-func (w *witnessSrc) at(i uint32) fr.Element {
-	if w.mem != nil {
-		return w.mem[i]
-	}
-	return w.file.Get(i)
-}
-
-// source adapts wires [off, len) to a curve.ScalarSource. The spilled
-// path records one "witness/stream" span per chunk read; the resident
-// path copies (only reached when a resident witness meets a streamed
-// key's scalar-source MSM, which the backends avoid).
-func (w *witnessSrc) source(off int, tr *obs.Trace) curve.ScalarSource {
-	if w.mem != nil {
-		scalars := w.mem[off:]
-		return func(dst []fr.Element, start int) error {
-			copy(dst, scalars[start:start+len(dst)])
-			return nil
-		}
-	}
+// witnessSource adapts wires [off, Len) to a curve.ScalarSource,
+// recording one "witness/stream" span per chunk read.
+func witnessSource(wf *r1cs.WitnessFile, off int, tr *obs.Trace) curve.ScalarSource {
 	return func(dst []fr.Element, start int) error {
 		sp := tr.Span("witness/stream")
-		err := w.file.ReadRange(dst, off+start)
+		err := wf.ReadRange(dst, off+start)
 		sp.End()
 		return err
 	}
 }
 
-// rowEvalSrc computes ⟨window row i, w⟩ for either witness residency.
-func rowEvalSrc(win *r1cs.RowWindow, i int, w *witnessSrc) fr.Element {
-	if w.mem != nil {
-		return win.RowEval(i, w.mem)
-	}
+// rowEval computes ⟨window row i, w⟩ against the spilled witness.
+func rowEval(win *r1cs.RowWindow, i int, wf *r1cs.WitnessFile) fr.Element {
 	wires, coeffs := win.Row(i)
 	var acc, t fr.Element
 	for k := range wires {
-		wv := w.file.Get(wires[k])
+		wv := wf.Get(wires[k])
 		t.Mul(&win.Dict[coeffs[k]], &wv)
 		acc.Add(&acc, &t)
 	}
@@ -80,20 +44,13 @@ type satisfyStopError struct{}
 
 func (*satisfyStopError) Error() string { return "groth16: satisfy walk stopped" }
 
-// checkSatisfied verifies A·w ∘ B·w = C·w row by row. Resident system
-// with resident witness takes the existing parallel CSR fast path;
-// otherwise the three matrices stream through lockstep row windows
-// (one "csr/row-window" span each), with rows parallel when the
-// witness is resident and serial when it reads through the spill
-// store's single-goroutine page cache. On failure the returned index
-// is the first violated constraint, matching IsSatisfied.
-func checkSatisfied(sys r1cs.Constraints, w *witnessSrc, tr *obs.Trace) (bool, int, error) {
-	if cs, ok := sys.(*r1cs.CompiledSystem); ok && w.mem != nil {
-		ok, bad := cs.IsSatisfied(w.mem)
-		return ok, bad, nil
-	}
-	if one := w.at(0); !one.IsOne() {
-		return false, -1, w.fileErr()
+// checkSatisfied verifies A·w ∘ B·w = C·w row by row, streaming the
+// three matrices through lockstep row windows (one "csr/row-window"
+// span each). On failure the returned index is the first violated
+// constraint, matching IsSatisfied.
+func checkSatisfied(sys r1cs.Constraints, wf *r1cs.WitnessFile, tr *obs.Trace) (bool, int, error) {
+	if one := wf.Get(0); !one.IsOne() {
+		return false, -1, wf.Err()
 	}
 	bad := -1
 	err := r1cs.ForRowWindows(r1cs.DefaultRowWindowTerms,
@@ -102,38 +59,10 @@ func checkSatisfied(sys r1cs.Constraints, w *witnessSrc, tr *obs.Trace) (bool, i
 			sp := tr.Span("csr/row-window")
 			defer sp.End()
 			wa, wb, wc := wins[0], wins[1], wins[2]
-			n := wa.Rows
-			if w.mem != nil {
-				var first atomic.Int64
-				first.Store(int64(n))
-				par.Range(n, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						a := wa.RowEval(i, w.mem)
-						b := wb.RowEval(i, w.mem)
-						c := wc.RowEval(i, w.mem)
-						var ab fr.Element
-						ab.Mul(&a, &b)
-						if !ab.Equal(&c) {
-							for {
-								cur := first.Load()
-								if int64(i) >= cur || first.CompareAndSwap(cur, int64(i)) {
-									break
-								}
-							}
-							return
-						}
-					}
-				})
-				if v := first.Load(); v < int64(n) {
-					bad = wa.Start + int(v)
-					return errSatisfyStop
-				}
-				return nil
-			}
-			for i := 0; i < n; i++ {
-				a := rowEvalSrc(wa, i, w)
-				b := rowEvalSrc(wb, i, w)
-				c := rowEvalSrc(wc, i, w)
+			for i := 0; i < wa.Rows; i++ {
+				a := rowEval(wa, i, wf)
+				b := rowEval(wb, i, wf)
+				c := rowEval(wc, i, wf)
 				var ab fr.Element
 				ab.Mul(&a, &b)
 				if !ab.Equal(&c) {
@@ -141,20 +70,13 @@ func checkSatisfied(sys r1cs.Constraints, w *witnessSrc, tr *obs.Trace) (bool, i
 					return errSatisfyStop
 				}
 			}
-			return w.fileErr()
+			return wf.Err()
 		})
 	if err == errSatisfyStop {
-		return false, bad, w.fileErr()
+		return false, bad, wf.Err()
 	}
 	if err != nil {
 		return false, 0, err
 	}
-	return true, 0, w.fileErr()
-}
-
-func (w *witnessSrc) fileErr() error {
-	if w.file != nil {
-		return w.file.Err()
-	}
-	return nil
+	return true, 0, wf.Err()
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -66,7 +67,30 @@ func (n *Network) Save(w io.Writer) error {
 // collides with the weights field in jsonLayer).
 func (m *MaxPool2D) W2() int { return m.W }
 
-// Load deserializes a network saved by Save.
+// maxLayerSize bounds every layer's input and output element count and
+// every conv kernel tensor, so a hostile model file cannot make Load or
+// the first Forward allocate without limit (16M elements is far past
+// any network this package trains).
+const maxLayerSize = 1 << 24
+
+// layerSize multiplies positive dimensions; ok is false when one is
+// non-positive or the product exceeds maxLayerSize.
+func layerSize(dims ...int) (n int, ok bool) {
+	n = 1
+	for _, d := range dims {
+		if d <= 0 || d > maxLayerSize/n {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
+// Load deserializes a network saved by Save. Malformed models — a
+// non-positive or oversized dimension, a stride of zero, a kernel larger
+// than its input, weights that do not match their shape, or a layer
+// whose input size differs from the previous layer's output — are
+// rejected with an error.
 func Load(r io.Reader) (*Network, error) {
 	var jn jsonNetwork
 	dec := json.NewDecoder(r)
@@ -78,42 +102,73 @@ func Load(r io.Reader) (*Network, error) {
 	}
 	net := &Network{}
 	for i, jl := range jn.Layers {
-		switch jl.Kind {
-		case "dense":
-			if len(jl.W) != jl.In*jl.Out || len(jl.B) != jl.Out {
-				return nil, fmt.Errorf("nn: layer %d has inconsistent dense shapes", i)
-			}
-			d := &Dense{
-				In: jl.In, Out: jl.Out,
-				W:  jl.W,
-				B:  jl.B,
-				gw: make([]float64, len(jl.W)),
-				gb: make([]float64, len(jl.B)),
-			}
-			net.Layers = append(net.Layers, d)
-		case "relu":
-			net.Layers = append(net.Layers, NewReLU(jl.Size))
-		case "sigmoid":
-			net.Layers = append(net.Layers, NewSigmoid(jl.Size))
-		case "conv":
-			want := jl.OutC * jl.InC * jl.K * jl.K
-			if len(jl.W) != want || len(jl.B) != jl.OutC {
-				return nil, fmt.Errorf("nn: layer %d has inconsistent conv shapes", i)
-			}
-			c := &Conv2D{
-				InC: jl.InC, InH: jl.InH, InW: jl.InW,
-				OutC: jl.OutC, K: jl.K, S: jl.S,
-				W:  jl.W,
-				B:  jl.B,
-				gw: make([]float64, len(jl.W)),
-				gb: make([]float64, len(jl.B)),
-			}
-			net.Layers = append(net.Layers, c)
-		case "maxpool":
-			net.Layers = append(net.Layers, NewMaxPool2D(jl.InC, jl.InH, jl.InW, jl.K, jl.S))
-		default:
-			return nil, fmt.Errorf("nn: unknown layer kind %q", jl.Kind)
+		l, in, err := jl.decode()
+		if err != nil {
+			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
 		}
+		if i > 0 {
+			if prev := net.Layers[i-1].OutputSize(); in != prev {
+				return nil, fmt.Errorf("nn: layer %d takes %d inputs but layer %d outputs %d", i, in, i-1, prev)
+			}
+		}
+		if _, ok := layerSize(l.OutputSize()); !ok {
+			return nil, fmt.Errorf("nn: layer %d: output size %d out of range", i, l.OutputSize())
+		}
+		net.Layers = append(net.Layers, l)
 	}
 	return net, nil
+}
+
+// decode builds one layer and reports its input size.
+func (jl *jsonLayer) decode() (Layer, int, error) {
+	switch jl.Kind {
+	case "dense":
+		in, okIn := layerSize(jl.In)
+		_, okOut := layerSize(jl.Out)
+		if !okIn || !okOut {
+			return nil, 0, fmt.Errorf("dense shape %d→%d out of range", jl.In, jl.Out)
+		}
+		// Division keeps the weight-count check free of overflow.
+		if len(jl.W)%jl.Out != 0 || len(jl.W)/jl.Out != jl.In || len(jl.B) != jl.Out {
+			return nil, 0, errors.New("inconsistent dense shapes")
+		}
+		return &Dense{
+			In: jl.In, Out: jl.Out,
+			W:  jl.W,
+			B:  jl.B,
+			gw: make([]float64, len(jl.W)),
+			gb: make([]float64, len(jl.B)),
+		}, in, nil
+	case "relu", "sigmoid":
+		size, ok := layerSize(jl.Size)
+		if !ok {
+			return nil, 0, fmt.Errorf("%s size %d out of range", jl.Kind, jl.Size)
+		}
+		if jl.Kind == "relu" {
+			return NewReLU(size), size, nil
+		}
+		return NewSigmoid(size), size, nil
+	case "conv", "maxpool":
+		in, ok := layerSize(jl.InC, jl.InH, jl.InW)
+		if _, okS := layerSize(jl.S); !ok || !okS || jl.K <= 0 || jl.K > jl.InH || jl.K > jl.InW {
+			return nil, 0, fmt.Errorf("%s shape %d×%d×%d, kernel %d, stride %d out of range",
+				jl.Kind, jl.InC, jl.InH, jl.InW, jl.K, jl.S)
+		}
+		if jl.Kind == "maxpool" {
+			return NewMaxPool2D(jl.InC, jl.InH, jl.InW, jl.K, jl.S), in, nil
+		}
+		want, ok := layerSize(jl.OutC, jl.InC, jl.K, jl.K)
+		if !ok || len(jl.W) != want || len(jl.B) != jl.OutC {
+			return nil, 0, errors.New("inconsistent conv shapes")
+		}
+		return &Conv2D{
+			InC: jl.InC, InH: jl.InH, InW: jl.InW,
+			OutC: jl.OutC, K: jl.K, S: jl.S,
+			W:  jl.W,
+			B:  jl.B,
+			gw: make([]float64, len(jl.W)),
+			gb: make([]float64, len(jl.B)),
+		}, in, nil
+	}
+	return nil, 0, fmt.Errorf("unknown layer kind %q", jl.Kind)
 }

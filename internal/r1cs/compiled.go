@@ -142,42 +142,62 @@ func (p *Program) NbLevels() int {
 	return len(p.Levels) - 1
 }
 
-func (p *Program) evalLC(off, end uint32, w []fr.Element) fr.Element {
+// wireStore is the solver's view of a witness under construction: a
+// resident slice (Solve) or a spilled WitnessFile (SolveSpilled). One
+// interpreter, instantiated per store, serves both, so the two solves
+// cannot drift apart.
+type wireStore interface {
+	// at returns wire i's value; the pointer is valid until the next
+	// store call.
+	at(i uint32) *fr.Element
+	Set(i uint32, v *fr.Element)
+}
+
+// memWires is the resident wire store.
+type memWires []fr.Element
+
+func (w memWires) at(i uint32) *fr.Element     { return &w[i] }
+func (w memWires) Set(i uint32, v *fr.Element) { w[i] = *v }
+
+func evalLC[W wireStore](p *Program, off, end uint32, w W) fr.Element {
 	var acc, t fr.Element
 	for k := off; k < end; k++ {
-		t.Mul(&p.Dict[p.CoeffIdx[k]], &w[p.Wires[k]])
+		t.Mul(&p.Dict[p.CoeffIdx[k]], w.at(p.Wires[k]))
 		acc.Add(&acc, &t)
 	}
 	return acc
 }
 
 // exec evaluates one instruction against the (partially solved) witness.
-func (p *Program) exec(in *Instr, w []fr.Element) {
-	a := p.evalLC(in.AOff, in.AEnd, w)
+func exec[W wireStore](p *Program, in *Instr, w W) {
+	a := evalLC(p, in.AOff, in.AEnd, w)
+	var v fr.Element
 	switch in.Op {
 	case OpLC:
-		w[in.Out] = a
+		v = a
 	case OpMul:
-		b := p.evalLC(in.BOff, in.BEnd, w)
-		w[in.Out].Mul(&a, &b)
+		b := evalLC(p, in.BOff, in.BEnd, w)
+		v.Mul(&a, &b)
 	case OpInv:
-		w[in.Out].Inverse(&a)
+		v.Inverse(&a)
 	case OpIsZero:
 		if a.IsZero() {
-			w[in.Out].SetOne()
-		} else {
-			w[in.Out] = fr.Element{}
+			v.SetOne()
 		}
 	case OpBits:
-		v := a.ToBigInt()
+		bits := a.ToBigInt()
+		var one, zero fr.Element
+		one.SetOne()
 		for i := uint32(0); i < in.NOut; i++ {
-			if v.Bit(int(i)) == 1 {
-				w[in.Out+i].SetOne()
+			if bits.Bit(int(i)) == 1 {
+				w.Set(in.Out+i, &one)
 			} else {
-				w[in.Out+i] = fr.Element{}
+				w.Set(in.Out+i, &zero)
 			}
 		}
+		return
 	}
+	w.Set(in.Out, &v)
 }
 
 // Assignment binds concrete values to a compiled system's declared
@@ -256,7 +276,7 @@ func (cs *CompiledSystem) Solve(public, secret []fr.Element) ([]fr.Element, erro
 		lo, hi := int(p.Levels[l]), int(p.Levels[l+1])
 		par.Range(hi-lo, func(s, e int) {
 			for k := lo + s; k < lo+e; k++ {
-				p.exec(&p.Instrs[k], w)
+				exec(p, &p.Instrs[k], memWires(w))
 			}
 		})
 	}

@@ -142,9 +142,10 @@ func (wf *WitnessFile) flushPage(p *witnessPage) {
 }
 
 // Get returns wire i's value (zero after a fault; see Err).
-func (wf *WitnessFile) Get(i uint32) fr.Element {
-	p := wf.page(int(i))
-	return p.data[int(i)%witnessPageElems]
+func (wf *WitnessFile) Get(i uint32) fr.Element { return *wf.at(i) }
+
+func (wf *WitnessFile) at(i uint32) *fr.Element {
+	return &wf.page(int(i)).data[int(i)%witnessPageElems]
 }
 
 // Set writes wire i's value into the page cache; Flush persists it.
@@ -180,53 +181,6 @@ func (wf *WitnessFile) ReadRange(dst []fr.Element, start int) error {
 // PageLoads returns the number of page faults served so far (test and
 // diagnostics hook).
 func (wf *WitnessFile) PageLoads() uint64 { return wf.pageLoads }
-
-func (p *Program) evalLCSpilled(off, end uint32, wf *WitnessFile) fr.Element {
-	var acc, t fr.Element
-	for k := off; k < end; k++ {
-		wv := wf.Get(p.Wires[k])
-		t.Mul(&p.Dict[p.CoeffIdx[k]], &wv)
-		acc.Add(&acc, &t)
-	}
-	return acc
-}
-
-// execSpilled is exec against a spilled witness. The arithmetic is
-// identical instruction for instruction, so the solved bits match
-// Solve exactly.
-func (p *Program) execSpilled(in *Instr, wf *WitnessFile) {
-	a := p.evalLCSpilled(in.AOff, in.AEnd, wf)
-	switch in.Op {
-	case OpLC:
-		wf.Set(in.Out, &a)
-	case OpMul:
-		b := p.evalLCSpilled(in.BOff, in.BEnd, wf)
-		var v fr.Element
-		v.Mul(&a, &b)
-		wf.Set(in.Out, &v)
-	case OpInv:
-		var v fr.Element
-		v.Inverse(&a)
-		wf.Set(in.Out, &v)
-	case OpIsZero:
-		var v fr.Element
-		if a.IsZero() {
-			v.SetOne()
-		}
-		wf.Set(in.Out, &v)
-	case OpBits:
-		v := a.ToBigInt()
-		var one, zero fr.Element
-		one.SetOne()
-		for i := uint32(0); i < in.NOut; i++ {
-			if v.Bit(int(i)) == 1 {
-				wf.Set(in.Out+i, &one)
-			} else {
-				wf.Set(in.Out+i, &zero)
-			}
-		}
-	}
-}
 
 // SolveSpilled replays the solver program against a spilled witness
 // store: inputs are scattered into the page cache and each dependency
@@ -264,7 +218,7 @@ func (cs *CompiledSystem) SolveSpilled(public, secret []fr.Element, wf *WitnessF
 	for l := 0; l+1 < len(p.Levels); l++ {
 		sp := tr.Span("solve/spill-level")
 		for k := p.Levels[l]; k < p.Levels[l+1]; k++ {
-			p.execSpilled(&p.Instrs[k], wf)
+			exec(p, &p.Instrs[k], wf)
 		}
 		err := wf.Flush()
 		sp.End()

@@ -362,6 +362,26 @@ func TestVerifyRejectsMalformedAndTampered(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsMalformedModel checks that a model which decodes as
+// JSON but not as a network — one that used to panic inside nn.Load, and
+// one whose layer sizes do not chain — is a 400, and the server keeps
+// serving.
+func TestRegisterRejectsMalformedModel(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	_, keyJSON := testFixture(t)
+	for _, model := range []string{
+		`{"format":1,"layers":[{"kind":"relu","size":-1}]}`,
+		`{"format":1,"layers":[{"kind":"maxpool","in_c":1,"in_h":4,"in_w":4,"k":2,"s":0}]}`,
+		`{"format":1,"layers":[{"kind":"dense","in":2,"out":1,"w":[1,1],"b":[0]},{"kind":"dense","in":3,"out":1,"w":[1,1,1],"b":[0]}]}`,
+	} {
+		resp, data := postJSON(t, ts.URL+"/v1/models", RegisterRequest{Model: json.RawMessage(model), Key: keyJSON})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("register %s: status %d (%s), want 400", model, resp.StatusCode, data)
+		}
+	}
+	register(t, ts.URL, 4)
+}
+
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
