@@ -85,7 +85,7 @@ func TestAcceleratorRouting(t *testing.T) {
 	// The streamed driver dispatches each chunk through the accelerator.
 	const chunk = 64
 	cnt.g1Dec.Store(0)
-	streamed, err := MultiExpG1StreamScalars(SliceSourceG1(points), scalars, StreamWindowSize(n, chunk), chunk)
+	streamed, err := MultiExpG1StreamScalars(sliceSource(points), scalars, StreamWindowSize(n, chunk), chunk)
 	if err != nil {
 		t.Fatalf("MultiExpG1StreamScalars: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestAcceleratorRoutingG2(t *testing.T) {
 	}
 
 	const chunk = 16
-	streamed, err := MultiExpG2StreamScalars(SliceSourceG2(points), scalars, StreamWindowSize(n, chunk), chunk)
+	streamed, err := MultiExpG2StreamScalars(sliceSource(points), scalars, StreamWindowSize(n, chunk), chunk)
 	if err != nil {
 		t.Fatalf("MultiExpG2StreamScalars: %v", err)
 	}

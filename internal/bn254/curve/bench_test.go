@@ -68,10 +68,48 @@ func msmBenchG1Input(n int) ([]G1Affine, []fr.Element) {
 	return BatchJacToAffineG1(jacs), scalars
 }
 
+// msmBenchG2Input is the G2 counterpart of msmBenchG1Input.
+func msmBenchG2Input(n int) ([]G2Affine, []fr.Element) {
+	rng := rand.New(rand.NewSource(int64(n)))
+	jacs := make([]G2Jac, n)
+	cur := randG2(rng)
+	for i := 0; i < n; i++ {
+		jacs[i] = cur
+		cur.DoubleAssign()
+	}
+	scalars := make([]fr.Element, n)
+	for i := range scalars {
+		scalars[i] = randFr(rng)
+	}
+	return BatchJacToAffineG2(jacs), scalars
+}
+
+// benchProcs is the GOMAXPROCS ladder of the core-scaling rows: 1 and 2
+// everywhere, 4 where the host has the cores.
+func benchProcs() []int {
+	procs := []int{1, 2}
+	if 4 <= 2*runtime.NumCPU() {
+		procs = append(procs, 4)
+	}
+	return procs
+}
+
+// withProcs wraps an MSM call as a benchmark body run at GOMAXPROCS
+// procs.
+func withProcs(procs int, msm func()) func(*testing.B) {
+	return func(b *testing.B) {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		for i := 0; i < b.N; i++ {
+			msm()
+		}
+	}
+}
+
 // BenchmarkMSM is the multi-exponentiation benchmark family: size
-// scaling over G1 and G2, core scaling at 2^16 points (the prover-shaped
-// size), and the shared scalar recoding on its own. Compare across PRs
-// before touching the MSM:
+// scaling over G1 and G2, in-memory vs streamed at 2^15 points, core
+// scaling at 2^16 points (the prover-shaped size), and the shared scalar
+// recoding on its own. Compare across PRs before touching the MSM:
 //
 //	go test ./internal/bn254/curve/ -run '^$' -bench BenchmarkMSM
 func BenchmarkMSM(b *testing.B) {
@@ -86,23 +124,40 @@ func BenchmarkMSM(b *testing.B) {
 
 	{
 		n := 4096
-		rng := rand.New(rand.NewSource(int64(n)))
-		jacs := make([]G2Jac, n)
-		cur := randG2(rng)
-		for i := 0; i < n; i++ {
-			jacs[i] = cur
-			cur.DoubleAssign()
-		}
-		points := BatchJacToAffineG2(jacs)
-		scalars := make([]fr.Element, n)
-		for i := range scalars {
-			scalars[i] = randFr(rng)
-		}
+		points, scalars := msmBenchG2Input(n)
 		b.Run(fmt.Sprintf("G2/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = MultiExpG2(points, scalars)
 			}
 		})
+	}
+
+	// In-memory vs streamed at a prover-shaped size: the streamed rows
+	// walk the same points in DefaultStreamChunk chunks through a slice
+	// source, so the gap is the streaming overhead alone.
+	{
+		const n, chunk = 1 << 15, DefaultStreamChunk
+		g1, scalars := msmBenchG1Input(n)
+		g2, _ := msmBenchG2Input(n)
+		c := StreamWindowSize(n, chunk)
+		for _, procs := range []int{1, 2} {
+			b.Run(fmt.Sprintf("G1/n=%d/procs=%d", n, procs), withProcs(procs, func() {
+				_ = MultiExpG1(g1, scalars)
+			}))
+			b.Run(fmt.Sprintf("Stream/G1/n=%d/chunk=%d/procs=%d", n, chunk, procs), withProcs(procs, func() {
+				if _, err := MultiExpG1StreamScalars(sliceSource(g1), scalars, c, chunk); err != nil {
+					b.Fatal(err)
+				}
+			}))
+			b.Run(fmt.Sprintf("G2/n=%d/procs=%d", n, procs), withProcs(procs, func() {
+				_ = MultiExpG2(g2, scalars)
+			}))
+			b.Run(fmt.Sprintf("Stream/G2/n=%d/chunk=%d/procs=%d", n, chunk, procs), withProcs(procs, func() {
+				if _, err := MultiExpG2StreamScalars(sliceSource(g2), scalars, c, chunk); err != nil {
+					b.Fatal(err)
+				}
+			}))
+		}
 	}
 
 	{
@@ -113,17 +168,10 @@ func BenchmarkMSM(b *testing.B) {
 				_ = DecomposeScalars(scalars, MSMWindowSize(n))
 			}
 		})
-		for _, procs := range []int{1, 2, 4} {
-			if procs > 2*runtime.NumCPU() && procs != 1 {
-				continue
-			}
-			b.Run(fmt.Sprintf("G1/n=%d/procs=%d", n, procs), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(prev)
-				for i := 0; i < b.N; i++ {
-					_ = MultiExpG1(points, scalars)
-				}
-			})
+		for _, procs := range benchProcs() {
+			b.Run(fmt.Sprintf("G1/n=%d/procs=%d", n, procs), withProcs(procs, func() {
+				_ = MultiExpG1(points, scalars)
+			}))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package curve
 
 import (
+	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -20,16 +21,19 @@ import (
 //     chord/tangent denominators are inverted together (Montgomery's
 //     trick), ~6 field muls amortized against ~15 for a Jacobian mixed
 //     add;
-//   - two-dimensional parallelism: work is split into point-chunks ×
-//     windows and scheduled on par.Each, so the MSM keeps scaling past
-//     the ~20-window ceiling of window-only parallelism;
+//   - two-dimensional parallelism: work is split into point sub-ranges ×
+//     window groups and scheduled on par.Each, so the MSM keeps scaling
+//     past the ~20-window ceiling of window-only parallelism;
+//   - one driver for resident and streamed points: the streamed MSM
+//     (stream.go) feeds the same cells chunk by chunk, and their buckets
+//     persist until one reduction at the end;
 //   - a precomputed-digit API (DecomposeScalars + MultiExp*Decomposed)
 //     so a caller multiplying one scalar vector against several bases —
 //     the Groth16 prover's A/B1/B2 queries — recodes the scalars once.
 //
-// One generic core (multiExp / msmAccumulate) drives both groups; G1 and
-// G2 plug in only their leaf arithmetic (g1BatchAdder / g2BatchAdder and
-// the Jacobian fold ops below).
+// One generic core (msmDriver / msmAccumulate) drives both groups; G1 and
+// G2 plug in only their batch adders (g1BatchAdder / g2BatchAdder), and
+// the Jacobian fold ops below are generic over the point types.
 
 // MSMWindowSize picks the Pippenger window width c for n points under
 // signed-digit recoding (2^(c-1) buckets per window). The heuristic
@@ -82,20 +86,15 @@ func scalarWindow(limbs *[fr.Limbs]uint64, offset, c int) uint64 {
 // number of MultiExp*Decomposed calls over bases of the same length — in
 // either group, since digits depend only on the scalars.
 type ScalarDecomposition struct {
-	c       int
-	windows int
-	n       int
+	c int
+	n int
 	// used counts the windows up to the highest nonzero digit. Real
 	// witnesses are dominated by bit wires and small fixed-point values,
 	// so their digits live in a handful of low windows — the MSM skips
 	// the all-zero rest outright.
 	used int
-	// digits[w*stride+off+i] is scalar i's signed digit for window w, in
-	// [-(2^(c-1)-1), 2^(c-1)]. off/stride exist so a Slice view can
-	// address the digits of a scalar sub-range without copying — the
-	// chunked/streamed MSM walks one full-vector recoding chunk by chunk.
-	off    int
-	stride int
+	// digits[w*n+i] is scalar i's signed digit for window w, in
+	// [-(2^(c-1)-1), 2^(c-1)].
 	digits []int16
 }
 
@@ -105,23 +104,9 @@ func (d *ScalarDecomposition) C() int { return d.c }
 // Len returns the number of scalars in the decomposition.
 func (d *ScalarDecomposition) Len() int { return d.n }
 
-// row returns the digit row of window w for this view.
+// row returns the digit row of window w.
 func (d *ScalarDecomposition) row(w int) []int16 {
-	base := w*d.stride + d.off
-	return d.digits[base : base+d.n]
-}
-
-// Slice returns a zero-copy view of the decomposition restricted to
-// scalars [start, end). The view shares the underlying digit storage,
-// so one full-vector recoding serves every chunk of a streamed MSM.
-func (d *ScalarDecomposition) Slice(start, end int) *ScalarDecomposition {
-	if start < 0 || end > d.n || start > end {
-		panic("curve: ScalarDecomposition.Slice out of range")
-	}
-	s := *d
-	s.off = d.off + start
-	s.n = end - start
-	return &s
+	return d.digits[w*d.n : (w+1)*d.n]
 }
 
 // DecomposeScalars recodes scalars into signed c-bit window digits
@@ -135,6 +120,15 @@ func DecomposeScalars(scalars []fr.Element, c int) *ScalarDecomposition {
 	return decomposeScalarsInto(nil, scalars, c)
 }
 
+// msmWindows returns the number of signed-digit windows of width c
+// (2 ≤ c ≤ 15): enough to cover fr.Bits plus one carry window.
+func msmWindows(c int) int {
+	if c < 2 || c > 15 {
+		panic("curve: DecomposeScalars window width out of range [2,15]")
+	}
+	return (fr.Bits+c-1)/c + 1
+}
+
 // decomposeScalarsInto is DecomposeScalars reusing d's digit storage
 // when it is large enough — the streamed MSM recodes thousands of
 // chunks per proof, and a fresh digit table per chunk is pure GC churn.
@@ -142,15 +136,12 @@ func DecomposeScalars(scalars []fr.Element, c int) *ScalarDecomposition {
 // is per-scalar and every slot in the reused window rows is
 // overwritten), so results are unchanged. Passing nil allocates.
 func decomposeScalarsInto(d *ScalarDecomposition, scalars []fr.Element, c int) *ScalarDecomposition {
-	if c < 2 || c > 15 {
-		panic("curve: DecomposeScalars window width out of range [2,15]")
-	}
 	n := len(scalars)
-	windows := (fr.Bits+c-1)/c + 1
+	windows := msmWindows(c)
 	if d == nil || cap(d.digits) < windows*n {
 		d = &ScalarDecomposition{digits: make([]int16, windows*n)}
 	}
-	d.c, d.windows, d.n, d.stride, d.off = c, windows, n, n, 0
+	d.c, d.n = c, n
 	d.digits = d.digits[:windows*n]
 	half := int64(1) << (c - 1)
 	full := int64(1) << c
@@ -206,8 +197,8 @@ const msmGroupBuckets = 8192
 // conflict count and growth past the cap is rare.
 const msmOverflowCap = 512
 
-// msmMinChunk is the minimum number of points per chunk: below this the
-// per-chunk bucket allocation and reduction dominate the inserts.
+// msmMinChunk is the minimum number of points per point sub-range: below
+// this the per-cell bucket allocation and reduction dominate the inserts.
 const msmMinChunk = 512
 
 // msmSerialThreshold is the point count under which the whole MSM runs
@@ -237,10 +228,10 @@ type batchOp[A any] struct {
 	pt A
 }
 
-// msmAccumulate folds one chunk×window-group cell of points into
-// signed-digit buckets. digitRows[g] holds the digits of the g-th window
-// in the group, and that window owns the bucket segment
-// [g·bucketsPerWindow, (g+1)·bucketsPerWindow): grouping narrow windows
+// msmAccumulate folds one cell's points into signed-digit buckets.
+// digitRows[g] holds the digits of the g-th window in the group, and
+// that window owns the bucket segment [g·bucketsPerWindow,
+// (g+1)·bucketsPerWindow) of sc.bucketsA: grouping narrow windows
 // multiplies the bucket pool so batches stay large — one window of 256
 // buckets can never amortize a 256-op batch, eight of them can.
 //
@@ -255,18 +246,30 @@ type batchOp[A any] struct {
 // flush and melt down quadratically. When the queue fills it is dumped
 // into Jacobian side buckets instead — hot buckets degrade to exactly
 // the plain-Jacobian cost while everything else stays batch-affine.
-// The returned side buckets (nil when never needed) hold that spilled
-// remainder; the caller folds them into the reduction.
-func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, buckets []A, bucketsPerWindow int, points []A, digitRows [][]int16, pending []bool, idx []int32, pts []A) []J {
+// Spills land on a handful of hot buckets, so the side buckets are
+// sparse: sc.side holds one Jacobian sum per spilled bucket (listed in
+// sc.sideB, located through sc.sideSlot) until the driver's reduction
+// folds them in.
+func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, sc *msmScratch[A, J], bucketsPerWindow int, points []A, digitRows [][]int16) {
+	buckets, pending, idx, pts := sc.bucketsA, sc.pending, sc.idx, sc.pts
 	cnt := 0
-	overflow := make([]batchOp[A], 0, msmOverflowCap)
-	var side []J
+	if cap(sc.overflow) < msmOverflowCap {
+		sc.overflow = make([]batchOp[A], 0, msmOverflowCap)
+	}
+	overflow := sc.overflow[:0]
 	drainToSide := func() {
-		if side == nil {
-			side = make([]J, len(buckets)) // zero Jacobian value has Z = 0: infinity
-		}
+		sc.sideSlot = grow(sc.sideSlot, len(buckets)) // all zero between reductions
 		for k := range overflow {
-			adder.addMixedJac(&side[overflow[k].b], &overflow[k].pt)
+			o := &overflow[k]
+			slot := sc.sideSlot[o.b]
+			if slot == 0 {
+				var inf J // zero Jacobian value has Z = 0: infinity
+				sc.side = append(sc.side, inf)
+				sc.sideB = append(sc.sideB, o.b)
+				slot = int32(len(sc.side))
+				sc.sideSlot[o.b] = slot
+			}
+			adder.addMixedJac(&sc.side[slot-1], &o.pt)
 		}
 		overflow = overflow[:0]
 	}
@@ -309,13 +312,15 @@ func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, buckets []A, bucketsPe
 			}
 			b += int32(g*bucketsPerWindow) - 1
 			if pending[b] {
-				op := batchOp[A]{b: b}
+				// Build the op in place: a local would escape through the
+				// adder's generic negInto and cost a heap allocation.
+				overflow = append(overflow, batchOp[A]{b: b})
+				op := &overflow[len(overflow)-1]
 				if neg {
 					adder.negInto(&op.pt, &points[i])
 				} else {
 					op.pt = points[i]
 				}
-				overflow = append(overflow, op)
 				if len(overflow) >= msmOverflowCap {
 					drainToSide()
 				}
@@ -344,16 +349,15 @@ func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, buckets []A, bucketsPe
 			drainToSide()
 		}
 	}
-	return side
+	sc.overflow = overflow[:0]
 }
 
 // msmCurve is the group-level interface of the shared Pippenger driver.
 type msmCurve[A, J any] interface {
 	// accumulator returns a closure over a fresh batch adder (whose
 	// scratch persists across flushes) running msmAccumulate for this
-	// group; the closure returns the Jacobian side buckets of spilled
-	// conflict-queue ops (nil when none spilled).
-	accumulator(batchSize int) func(buckets []A, bucketsPerWindow int, points []A, digitRows [][]int16, pending []bool, idx []int32, pts []A) []J
+	// group.
+	accumulator(batchSize int) func(sc *msmScratch[A, J], bucketsPerWindow int, points []A, digitRows [][]int16)
 	// jacAccumulate folds digits into Jacobian buckets with mixed adds —
 	// the small-MSM path, where batch-affine flushes can't amortize
 	// their inversion.
@@ -366,27 +370,31 @@ type msmCurve[A, J any] interface {
 	jacReduce(buckets []J, sum *J)
 	add(dst, src *J)
 	double(dst *J)
-	// scratchPool recycles per-task bucket scratch (one homogeneous
-	// *msmScratch[A, J] pool per curve): a streamed proof runs thousands
-	// of chunk×window-group tasks, and allocating half-MB bucket arrays
-	// per task is the prover's dominant GC churn.
+	// scratchPool recycles cell bucket scratch (one homogeneous
+	// *msmScratch[A, J] pool per curve): a proof runs dozens of MSMs, and
+	// allocating MB-sized bucket sets per MSM is pure GC churn.
 	scratchPool() *sync.Pool
 	// accelerated routes one pre-decomposed MSM to acc's entry point for
 	// this group — how the streamed driver dispatches each chunk through
-	// the registered Accelerator.
+	// a registered non-default Accelerator.
 	accelerated(acc Accelerator, points []A, dec *ScalarDecomposition) J
 }
 
-// msmScratch is the recycled working set of one MSM task. Buckets are
-// re-zeroed on reuse (the zero affine value is infinity, matching a
-// fresh make); idx and pts need no clearing — the batch adder only
-// reads the [0, cnt) prefix it wrote.
+// msmScratch is the recycled working set of one cell. Buckets are
+// re-zeroed when a cell takes the scratch (the zero affine value is
+// infinity, matching a fresh make); idx, pts and the overflow queue need
+// no clearing — msmAccumulate only reads what it wrote — and the sparse
+// side buckets are emptied by every reduction, leaving sideSlot all zero.
 type msmScratch[A, J any] struct {
 	bucketsJ []J
 	bucketsA []A
 	pending  []bool
 	idx      []int32
 	pts      []A
+	overflow []batchOp[A]
+	side     []J
+	sideB    []int32
+	sideSlot []int32
 }
 
 var g1ScratchPool, g2ScratchPool sync.Pool
@@ -400,19 +408,29 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// msmTask is one cell of the driver's work decomposition: a point chunk
-// crossed with a run of windows [w0, w1), accumulated batch-affine or
-// Jacobian.
-type msmTask struct {
-	chunk  int
-	w0, w1 int
-	affine bool
+// msmCell is one cell of the driver's work decomposition: a point
+// sub-range crossed with a run of windows [w0, w1), accumulated
+// batch-affine or Jacobian. A cell owns its buckets from its first
+// insert to its reduction, so across the chunks of a streamed MSM each
+// cell keeps filling the same bucket set.
+type msmCell[A, J any] struct {
+	sub        int
+	w0, w1     int
+	affine     bool
+	sc         *msmScratch[A, J] // nil before the first insert and after the reduction
+	accumulate func(sc *msmScratch[A, J], bucketsPerWindow int, points []A, digitRows [][]int16)
+	rows       [][]int16
 }
 
-// multiExp is the shared signed-digit Pippenger driver. Work splits
-// two-dimensionally into point chunks × window groups; each cell owns
-// its buckets and reduces them independently, and the final fold is a
-// cheap serial pass over numChunks·numWindows partial sums.
+// msmDriver is the shared signed-digit Pippenger driver behind both the
+// in-memory and the streamed MSM. Its schedule depends only on the total
+// point count n and the window count: work splits two-dimensionally into
+// point sub-ranges × window groups, and each cell owns its buckets. The
+// points arrive in one or more chunks (add); every chunk is split into
+// the same sub-ranges and its cells run in parallel, inserting into
+// buckets that persist across chunks. Buckets are reduced once, after
+// the last chunk, and the final fold is a cheap serial pass over
+// numSubs·numWindows partial sums.
 //
 // Narrow windows are grouped so one batch-affine pass owns several
 // bucket segments at once: a single 256-bucket window can never keep a
@@ -421,46 +439,40 @@ type msmTask struct {
 // windows see only the scalar's high-order sliver of bits, so their
 // digits crowd a handful of buckets; they take the Jacobian path, as do
 // small MSMs where flush inversions can't amortize.
-//
-// tr, when non-nil, records one span per chunk×window-group task under
-// label on a pool of worker lanes — the per-window MSM attribution of
-// the telemetry subsystem. The nil path adds only a nil check per task.
-func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecomposition, tr *obs.Trace, label string) J {
-	n := len(points)
-	res := cv.infinity()
-	if n == 0 {
-		return res
-	}
-	if n != dec.n {
-		panic("curve: MultiExp decomposition length mismatch")
-	}
-	c := dec.c
-	// All-zero top windows (small witness values) are skipped outright;
-	// the Horner fold below never needs to double past the highest
-	// nonzero digit.
-	numWindows := dec.used
-	if numWindows == 0 {
-		return res
-	}
+type msmDriver[A, J any, CV msmCurve[A, J]] struct {
+	cv         CV
+	c          int
+	numBuckets int
+	numWindows int
+	numSubs    int
+	batch      int
+	serial     bool
+	cells      []msmCell[A, J]
+	// partials[sub*numWindows+w] is window w's sum over sub-range sub.
+	partials []J
+	// used is the highest window count with a nonzero digit over every
+	// chunk seen: the Horner fold never doubles past it.
+	used int
+	// lanes, when non-nil, records one span per cell run under label.
+	lanes *obs.Lanes
+	label string
+}
+
+// newMSMDriver plans an MSM of n points whose digits, recoded at window
+// width c, are nonzero in at most numWindows windows. tr, when non-nil,
+// records one span per cell run under label on a pool of worker lanes —
+// the per-window MSM attribution of the telemetry subsystem.
+func newMSMDriver[A, J any, CV msmCurve[A, J]](cv CV, n, c, numWindows int, tr *obs.Trace, label string) *msmDriver[A, J, CV] {
 	numBuckets := 1 << (c - 1)
 
 	// Windows 0..wide-1 draw digits from the scalar's full range.
-	wide := fr.Bits / c
-	if wide > numWindows {
-		wide = numWindows
-	}
+	wide := min(fr.Bits/c, numWindows)
 
 	group, batch := 1, 0
 	useAffine := n >= msmAffineThreshold && wide > 0
 	if useAffine {
-		group = (msmGroupBuckets + numBuckets - 1) / numBuckets
-		if group > wide {
-			group = wide
-		}
-		batch = group * numBuckets / 16
-		if batch > msmBatchSize {
-			batch = msmBatchSize
-		}
+		group = min((msmGroupBuckets+numBuckets-1)/numBuckets, wide)
+		batch = min(group*numBuckets/16, msmBatchSize)
 		if batch < msmMinBatch {
 			useAffine = false
 			group = 1
@@ -471,175 +483,281 @@ func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecompo
 	if useAffine {
 		taskCols = (wide+group-1)/group + (numWindows - wide)
 	}
-	numChunks := 1
-	if procs := par.Workers(); procs > taskCols {
-		numChunks = (procs + taskCols - 1) / taskCols
-	}
-	if maxChunks := (n + msmMinChunk - 1) / msmMinChunk; numChunks > maxChunks {
-		numChunks = maxChunks
-	}
-	chunkLen := (n + numChunks - 1) / numChunks
+	numSubs := min((par.Workers()+taskCols-1)/taskCols, (n+msmMinChunk-1)/msmMinChunk)
 
-	tasks := make([]msmTask, 0, numChunks*taskCols)
-	for ch := 0; ch < numChunks; ch++ {
+	d := &msmDriver[A, J, CV]{
+		cv: cv, c: c, numBuckets: numBuckets, numWindows: numWindows, numSubs: numSubs, batch: batch,
+		// Tiny MSMs finish in milliseconds serially; goroutine dispatch
+		// would cost a measurable slice of that, so they stay inline.
+		serial: n < msmSerialThreshold,
+		cells:  make([]msmCell[A, J], 0, numSubs*taskCols),
+		label:  label,
+	}
+	for sub := 0; sub < numSubs; sub++ {
+		jacFrom := 0
 		if useAffine {
 			for w0 := 0; w0 < wide; w0 += group {
-				w1 := w0 + group
-				if w1 > wide {
-					w1 = wide
-				}
-				tasks = append(tasks, msmTask{chunk: ch, w0: w0, w1: w1, affine: true})
+				d.cells = append(d.cells, msmCell[A, J]{sub: sub, w0: w0, w1: min(w0+group, wide), affine: true})
 			}
-			for w := wide; w < numWindows; w++ {
-				tasks = append(tasks, msmTask{chunk: ch, w0: w, w1: w + 1})
-			}
-		} else {
-			for w := 0; w < numWindows; w++ {
-				tasks = append(tasks, msmTask{chunk: ch, w0: w, w1: w + 1})
-			}
+			jacFrom = wide
+		}
+		for w := jacFrom; w < numWindows; w++ {
+			d.cells = append(d.cells, msmCell[A, J]{sub: sub, w0: w, w1: w + 1})
 		}
 	}
-
-	partials := make([]J, numChunks*numWindows)
-	var lanes *obs.Lanes
-	if tr != nil {
-		lanes = tr.Lanes(par.Workers())
+	d.partials = make([]J, numSubs*numWindows)
+	for i := range d.partials {
+		d.partials[i] = cv.infinity()
 	}
-	runTask := func(t int) {
-		task := tasks[t]
-		if lanes != nil {
-			sp := lanes.Span(label + "/w" + strconv.Itoa(task.w0) + "-" + strconv.Itoa(task.w1) +
-				"/c" + strconv.Itoa(task.chunk))
+	if tr != nil {
+		d.lanes = tr.Lanes(par.Workers())
+	}
+	return d
+}
+
+// add inserts one chunk of points, whose digits dec were recoded at the
+// driver's window width, into the cells' buckets, running the cells in
+// parallel. With last set, each cell reduces its buckets right after its
+// final insert and hands its scratch back, so a one-chunk MSM holds at
+// most one bucket set per worker.
+func (d *msmDriver[A, J, CV]) add(points []A, dec *ScalarDecomposition, last bool) {
+	d.used = max(d.used, dec.used)
+	subLen := (len(points) + d.numSubs - 1) / d.numSubs
+	run := func(t int) {
+		cell := &d.cells[t]
+		if d.lanes != nil {
+			sp := d.lanes.Span(d.label + "/w" + strconv.Itoa(cell.w0) + "-" + strconv.Itoa(cell.w1) +
+				"/c" + strconv.Itoa(cell.sub))
 			defer sp.End()
 		}
-		start := task.chunk * chunkLen
-		end := start + chunkLen
-		if end > n {
-			end = n
+		start := min(cell.sub*subLen, len(points))
+		end := min(start+subLen, len(points))
+		// Windows at or past dec.used hold only zero digits in this chunk.
+		if w1 := min(cell.w1, dec.used); start < end && cell.w0 < w1 {
+			d.accumulate(cell, points[start:end], dec, start, w1)
 		}
-		pointsChunk := points[start:end]
-		sc, _ := cv.scratchPool().Get().(*msmScratch[A, J])
-		if sc == nil {
-			sc = &msmScratch[A, J]{}
-		}
-		defer cv.scratchPool().Put(sc)
-		if !task.affine {
-			w := task.w0
-			sc.bucketsJ = grow(sc.bucketsJ, numBuckets)
-			buckets := sc.bucketsJ
-			for b := range buckets {
-				buckets[b] = cv.infinity()
-			}
-			cv.jacAccumulate(buckets, pointsChunk, dec.row(w)[start:end])
-			cv.jacReduce(buckets, &partials[task.chunk*numWindows+w])
-			return
-		}
-		g := task.w1 - task.w0
-		sc.bucketsA = grow(sc.bucketsA, g*numBuckets)
-		buckets := sc.bucketsA
-		clear(buckets) // zero value is affine infinity
-		sc.pending = grow(sc.pending, g*numBuckets)
-		pending := sc.pending
-		clear(pending)
-		sc.idx = grow(sc.idx, batch)
-		sc.pts = grow(sc.pts, batch)
-		idx, pts := sc.idx, sc.pts
-		digitRows := make([][]int16, g)
-		for j := 0; j < g; j++ {
-			w := task.w0 + j
-			digitRows[j] = dec.row(w)[start:end]
-		}
-		accumulate := cv.accumulator(batch)
-		side := accumulate(buckets, numBuckets, pointsChunk, digitRows, pending, idx, pts)
-		for j := 0; j < g; j++ {
-			p := &partials[task.chunk*numWindows+task.w0+j]
-			cv.reduce(buckets[j*numBuckets:(j+1)*numBuckets], p)
-			if side != nil {
-				var spill J
-				cv.jacReduce(side[j*numBuckets:(j+1)*numBuckets], &spill)
-				cv.add(p, &spill)
-			}
+		if last {
+			d.reduce(cell)
 		}
 	}
-	// Tiny MSMs finish in milliseconds serially; goroutine dispatch
-	// would cost a measurable slice of that, so they stay inline.
-	if n < msmSerialThreshold {
-		for t := range tasks {
-			runTask(t)
+	if d.serial {
+		for t := range d.cells {
+			run(t)
 		}
 	} else {
-		par.Each(len(tasks), runTask)
+		par.Each(len(d.cells), run)
 	}
+}
 
-	// Horner fold over windows, most significant first; within a window,
-	// chunk partials just add.
-	for w := numWindows - 1; w >= 0; w-- {
-		if w != numWindows-1 {
-			for i := 0; i < c; i++ {
-				cv.double(&res)
-			}
+// accumulate inserts points — the dec sub-range starting at start — into
+// cell's buckets for windows [cell.w0, w1).
+func (d *msmDriver[A, J, CV]) accumulate(cell *msmCell[A, J], points []A, dec *ScalarDecomposition, start, w1 int) {
+	end := start + len(points)
+	if cell.sc == nil {
+		d.acquire(cell)
+	}
+	sc := cell.sc
+	if !cell.affine {
+		d.cv.jacAccumulate(sc.bucketsJ, points, dec.row(cell.w0)[start:end])
+		return
+	}
+	cell.rows = cell.rows[:0]
+	for w := cell.w0; w < w1; w++ {
+		cell.rows = append(cell.rows, dec.row(w)[start:end])
+	}
+	cell.accumulate(sc, d.numBuckets, points, cell.rows)
+}
+
+// acquire takes a pooled scratch for cell and resets its buckets.
+func (d *msmDriver[A, J, CV]) acquire(cell *msmCell[A, J]) {
+	sc, _ := d.cv.scratchPool().Get().(*msmScratch[A, J])
+	if sc == nil {
+		sc = &msmScratch[A, J]{}
+	}
+	if cell.affine {
+		size := (cell.w1 - cell.w0) * d.numBuckets
+		sc.bucketsA = grow(sc.bucketsA, size)
+		clear(sc.bucketsA) // zero value is affine infinity
+		sc.pending = grow(sc.pending, size)
+		clear(sc.pending)
+		sc.idx = grow(sc.idx, d.batch)
+		sc.pts = grow(sc.pts, d.batch)
+		if cell.accumulate == nil {
+			cell.accumulate = d.cv.accumulator(d.batch)
 		}
-		for ch := 0; ch < numChunks; ch++ {
-			cv.add(&res, &partials[ch*numWindows+w])
+	} else {
+		sc.bucketsJ = grow(sc.bucketsJ, d.numBuckets)
+		inf := d.cv.infinity()
+		for b := range sc.bucketsJ {
+			sc.bucketsJ[b] = inf
+		}
+	}
+	cell.sc = sc
+}
+
+// reduce folds cell's buckets into the window partials and returns its
+// scratch to the pool; a cell that never received a point is a no-op.
+func (d *msmDriver[A, J, CV]) reduce(cell *msmCell[A, J]) {
+	sc := cell.sc
+	if sc == nil {
+		return
+	}
+	for w := cell.w0; w < min(cell.w1, d.used); w++ {
+		var sum J
+		if cell.affine {
+			j := w - cell.w0
+			d.cv.reduce(sc.bucketsA[j*d.numBuckets:(j+1)*d.numBuckets], &sum)
+		} else {
+			d.cv.jacReduce(sc.bucketsJ, &sum)
+		}
+		d.cv.add(&d.partials[cell.sub*d.numWindows+w], &sum)
+	}
+	// Side bucket b of the cell holds spilled ops of digit b%numBuckets+1
+	// in window w0+b/numBuckets. Spills hit a few hot buckets (about one
+	// per window on prover witnesses), so each is weighted by
+	// double-and-add rather than a running-sum scan over every bucket.
+	for k, b := range sc.sideB {
+		w := cell.w0 + int(b)/d.numBuckets
+		term := d.mulSmall(&sc.side[k], int(b)%d.numBuckets+1)
+		d.cv.add(&d.partials[cell.sub*d.numWindows+w], &term)
+		sc.sideSlot[b] = 0
+	}
+	sc.side, sc.sideB = sc.side[:0], sc.sideB[:0]
+	d.cv.scratchPool().Put(sc)
+	cell.sc = nil
+}
+
+// mulSmall returns k·p for a bucket weight k ≥ 1 by double-and-add.
+func (d *msmDriver[A, J, CV]) mulSmall(p *J, k int) J {
+	res := d.cv.infinity()
+	for i := bits.Len(uint(k)) - 1; i >= 0; i-- {
+		d.cv.double(&res)
+		if k>>i&1 == 1 {
+			d.cv.add(&res, p)
 		}
 	}
 	return res
 }
 
-// g1Msm and g2Msm bind the generic driver to the concrete groups.
-type g1Msm struct{}
-
-func (g1Msm) accumulator(batchSize int) func([]G1Affine, int, []G1Affine, [][]int16, []bool, []int32, []G1Affine) []G1Jac {
-	adder := newG1BatchAdder(batchSize)
-	return func(buckets []G1Affine, bucketsPerWindow int, points []G1Affine, digitRows [][]int16, pending []bool, idx []int32, pts []G1Affine) []G1Jac {
-		return msmAccumulate[G1Affine, G1Jac](adder, buckets, bucketsPerWindow, points, digitRows, pending, idx, pts)
+// finish reduces any buckets still live (a stream whose last chunk went
+// to a registered Accelerator) and returns the Horner fold over windows,
+// most significant first; within a window, sub-range partials just add.
+func (d *msmDriver[A, J, CV]) finish() J {
+	for t := range d.cells {
+		d.reduce(&d.cells[t])
 	}
+	res := d.cv.infinity()
+	for w := d.used - 1; w >= 0; w-- {
+		if w != d.used-1 {
+			for i := 0; i < d.c; i++ {
+				d.cv.double(&res)
+			}
+		}
+		for sub := 0; sub < d.numSubs; sub++ {
+			d.cv.add(&res, &d.partials[sub*d.numWindows+w])
+		}
+	}
+	return res
 }
 
-func (g1Msm) jacAccumulate(buckets []G1Jac, points []G1Affine, digits []int16) {
+// multiExp is the in-memory MSM: the one-chunk call of the shared
+// driver, planned for exactly the windows the digits use — all-zero top
+// windows (small witness values) are skipped outright.
+//
+// tr, when non-nil, records one span per point-range×window-group cell
+// under label on a pool of worker lanes. The nil path adds only a nil
+// check per cell.
+func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecomposition, tr *obs.Trace, label string) J {
+	if len(points) == 0 {
+		return cv.infinity()
+	}
+	if len(points) != dec.n {
+		panic("curve: MultiExp decomposition length mismatch")
+	}
+	if dec.used == 0 {
+		return cv.infinity()
+	}
+	d := newMSMDriver[A, J](cv, len(points), dec.c, dec.used, tr, label)
+	d.add(points, dec, true)
+	return d.finish()
+}
+
+// jacPoint and affinePoint are the point arithmetic the generic bucket
+// loops need, satisfied by *G1Jac/*G2Jac and *G1Affine/*G2Affine.
+type jacPoint[A, J any] interface {
+	*J
+	SetInfinity() *J
+	AddMixed(q *A) *J
+	AddAssign(q *J) *J
+	DoubleAssign() *J
+}
+
+type affinePoint[A any] interface {
+	*A
+	Neg(q *A) *A
+}
+
+// groupOps implements the group-generic half of msmCurve once for both
+// groups; g1Msm and g2Msm embed it and add the per-group batch adder,
+// scratch pool and Accelerator entry point.
+type groupOps[A, J any, PA affinePoint[A], PJ jacPoint[A, J]] struct{}
+
+func (groupOps[A, J, PA, PJ]) jacAccumulate(buckets []J, points []A, digits []int16) {
+	var neg A // hoisted: it escapes through the generic Neg call
 	for i := range digits {
 		d := digits[i]
 		if d == 0 {
 			continue
 		}
 		if d > 0 {
-			buckets[d-1].AddMixed(&points[i])
+			PJ(&buckets[d-1]).AddMixed(&points[i])
 		} else {
-			var neg G1Affine
-			neg.Neg(&points[i])
-			buckets[-d-1].AddMixed(&neg)
+			PA(&neg).Neg(&points[i])
+			PJ(&buckets[-d-1]).AddMixed(&neg)
 		}
 	}
 }
 
-func (g1Msm) infinity() G1Jac {
-	var j G1Jac
-	j.SetInfinity()
+func (groupOps[A, J, PA, PJ]) infinity() J {
+	var j J
+	PJ(&j).SetInfinity()
 	return j
 }
 
-func (g1Msm) reduce(buckets []G1Affine, sum *G1Jac) {
-	var acc G1Jac
-	acc.SetInfinity()
-	sum.SetInfinity()
+func (groupOps[A, J, PA, PJ]) reduce(buckets []A, sum *J) {
+	var acc J
+	PJ(&acc).SetInfinity()
+	PJ(sum).SetInfinity()
 	for b := len(buckets) - 1; b >= 0; b-- {
-		acc.AddMixed(&buckets[b])
-		sum.AddAssign(&acc)
+		PJ(&acc).AddMixed(&buckets[b])
+		PJ(sum).AddAssign(&acc)
 	}
 }
 
-func (g1Msm) jacReduce(buckets []G1Jac, sum *G1Jac) {
-	var acc G1Jac
-	acc.SetInfinity()
-	sum.SetInfinity()
+func (groupOps[A, J, PA, PJ]) jacReduce(buckets []J, sum *J) {
+	var acc J
+	PJ(&acc).SetInfinity()
+	PJ(sum).SetInfinity()
 	for b := len(buckets) - 1; b >= 0; b-- {
-		acc.AddAssign(&buckets[b])
-		sum.AddAssign(&acc)
+		PJ(&acc).AddAssign(&buckets[b])
+		PJ(sum).AddAssign(&acc)
 	}
 }
 
-func (g1Msm) add(dst, src *G1Jac) { dst.AddAssign(src) }
-func (g1Msm) double(dst *G1Jac)   { dst.DoubleAssign() }
+func (groupOps[A, J, PA, PJ]) add(dst, src *J) { PJ(dst).AddAssign(src) }
+func (groupOps[A, J, PA, PJ]) double(dst *J)   { PJ(dst).DoubleAssign() }
+
+// g1Msm and g2Msm bind the generic driver to the concrete groups.
+type g1Msm struct {
+	groupOps[G1Affine, G1Jac, *G1Affine, *G1Jac]
+}
+
+func (g1Msm) accumulator(batchSize int) func(*msmScratch[G1Affine, G1Jac], int, []G1Affine, [][]int16) {
+	adder := newG1BatchAdder(batchSize)
+	return func(sc *msmScratch[G1Affine, G1Jac], bucketsPerWindow int, points []G1Affine, digitRows [][]int16) {
+		msmAccumulate[G1Affine, G1Jac](adder, sc, bucketsPerWindow, points, digitRows)
+	}
+}
 
 func (g1Msm) scratchPool() *sync.Pool { return &g1ScratchPool }
 
@@ -647,59 +765,16 @@ func (g1Msm) accelerated(acc Accelerator, points []G1Affine, dec *ScalarDecompos
 	return acc.MultiExpG1Decomposed(points, dec)
 }
 
-type g2Msm struct{}
+type g2Msm struct {
+	groupOps[G2Affine, G2Jac, *G2Affine, *G2Jac]
+}
 
-func (g2Msm) accumulator(batchSize int) func([]G2Affine, int, []G2Affine, [][]int16, []bool, []int32, []G2Affine) []G2Jac {
+func (g2Msm) accumulator(batchSize int) func(*msmScratch[G2Affine, G2Jac], int, []G2Affine, [][]int16) {
 	adder := newG2BatchAdder(batchSize)
-	return func(buckets []G2Affine, bucketsPerWindow int, points []G2Affine, digitRows [][]int16, pending []bool, idx []int32, pts []G2Affine) []G2Jac {
-		return msmAccumulate[G2Affine, G2Jac](adder, buckets, bucketsPerWindow, points, digitRows, pending, idx, pts)
+	return func(sc *msmScratch[G2Affine, G2Jac], bucketsPerWindow int, points []G2Affine, digitRows [][]int16) {
+		msmAccumulate[G2Affine, G2Jac](adder, sc, bucketsPerWindow, points, digitRows)
 	}
 }
-
-func (g2Msm) jacAccumulate(buckets []G2Jac, points []G2Affine, digits []int16) {
-	for i := range digits {
-		d := digits[i]
-		if d == 0 {
-			continue
-		}
-		if d > 0 {
-			buckets[d-1].AddMixed(&points[i])
-		} else {
-			var neg G2Affine
-			neg.Neg(&points[i])
-			buckets[-d-1].AddMixed(&neg)
-		}
-	}
-}
-
-func (g2Msm) infinity() G2Jac {
-	var j G2Jac
-	j.SetInfinity()
-	return j
-}
-
-func (g2Msm) reduce(buckets []G2Affine, sum *G2Jac) {
-	var acc G2Jac
-	acc.SetInfinity()
-	sum.SetInfinity()
-	for b := len(buckets) - 1; b >= 0; b-- {
-		acc.AddMixed(&buckets[b])
-		sum.AddAssign(&acc)
-	}
-}
-
-func (g2Msm) jacReduce(buckets []G2Jac, sum *G2Jac) {
-	var acc G2Jac
-	acc.SetInfinity()
-	sum.SetInfinity()
-	for b := len(buckets) - 1; b >= 0; b-- {
-		acc.AddAssign(&buckets[b])
-		sum.AddAssign(&acc)
-	}
-}
-
-func (g2Msm) add(dst, src *G2Jac) { dst.AddAssign(src) }
-func (g2Msm) double(dst *G2Jac)   { dst.DoubleAssign() }
 
 func (g2Msm) scratchPool() *sync.Pool { return &g2ScratchPool }
 
@@ -743,13 +818,7 @@ func MultiExpG1DecomposedTraced(points []G1Affine, dec *ScalarDecomposition, tr 
 	if tr == nil {
 		return MultiExpG1Decomposed(points, dec)
 	}
-	sp := tr.Span(label)
-	defer sp.End()
-	acc := ActiveAccelerator()
-	if _, cpu := acc.(pippengerCPU); !cpu {
-		return acc.MultiExpG1Decomposed(points, dec)
-	}
-	return multiExp[G1Affine, G1Jac](g1Msm{}, points, dec, tr, label)
+	return multiExpTraced[G1Affine, G1Jac](g1Msm{}, points, dec, tr, label)
 }
 
 // MultiExpG2DecomposedTraced is the G2 counterpart of
@@ -758,13 +827,19 @@ func MultiExpG2DecomposedTraced(points []G2Affine, dec *ScalarDecomposition, tr 
 	if tr == nil {
 		return MultiExpG2Decomposed(points, dec)
 	}
+	return multiExpTraced[G2Affine, G2Jac](g2Msm{}, points, dec, tr, label)
+}
+
+// multiExpTraced runs a decomposed MSM inside a span named label, on the
+// CPU driver with per-cell spans or as one opaque Accelerator call.
+func multiExpTraced[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecomposition, tr *obs.Trace, label string) J {
 	sp := tr.Span(label)
 	defer sp.End()
 	acc := ActiveAccelerator()
 	if _, cpu := acc.(pippengerCPU); !cpu {
-		return acc.MultiExpG2Decomposed(points, dec)
+		return cv.accelerated(acc, points, dec)
 	}
-	return multiExp[G2Affine, G2Jac](g2Msm{}, points, dec, tr, label)
+	return multiExp[A, J](cv, points, dec, tr, label)
 }
 
 // MultiExpG1Traced is MultiExpG1 with span recording (see

@@ -207,7 +207,7 @@ func TestDecomposeScalarsReconstructs(t *testing.T) {
 			var acc, radix, pw fr.Element
 			pw.SetOne()
 			radix.SetUint64(1 << c)
-			for w := 0; w < dec.windows; w++ {
+			for w := 0; w < msmWindows(dec.c); w++ {
 				d := int64(dec.digits[w*len(scalars)+i])
 				if d > half || d < -(half-1) {
 					t.Fatalf("digit %d out of range at c=%d", d, c)

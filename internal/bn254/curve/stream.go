@@ -11,30 +11,34 @@ import (
 	"zkrownn/internal/par"
 )
 
-// Streamed (out-of-core) MSM: the scalar side of a multi-exponentiation
-// is small (32 B/scalar) and stays in RAM, but the base points (64 B in
-// G1, 128 B in G2, and there are three point queries per wire in a
-// Groth16 proving key) dominate memory at paper scale. The streamed
-// driver consumes bases from a caller-supplied source in bounded chunks:
-//
-//	total = Σ_chunks Pippenger(points[chunk], digits[chunk])
-//
-// MSM linearity makes the chunk decomposition exact — the group element
-// is identical to the one-shot MSM, so streamed and in-memory Groth16
-// proofs are byte-identical after affine normalization.
+// Streamed (out-of-core) MSM: the base points (64 B in G1, 128 B in G2,
+// and there are three point queries per wire in a Groth16 proving key)
+// dominate memory at paper scale, so the streamed driver consumes them
+// from a caller-supplied source in bounded chunks, and the scalars from
+// a ScalarSource the same way. It is the in-memory Pippenger driver
+// (msmDriver) fed one chunk at a time: the window width comes from the
+// total MSM size, every cell's buckets persist across chunks, and the
+// buckets are reduced once after the last chunk — so a streamed MSM does
+// the same bucket work as the one-shot MSM, and the group element is
+// identical (streamed and in-memory Groth16 proofs are byte-identical
+// after affine normalization).
 //
 // Chunks are double-buffered: a prefetch goroutine reads and decodes
-// chunk i+1 while the Pippenger core runs on chunk i, overlapping disk
-// latency with compute. Peak point memory is 2·chunk points plus one
-// chunk's bucket pool, independent of the MSM size.
+// chunk i+1 while the cells insert chunk i, overlapping disk latency
+// with compute. Each chunk's scalars are recoded just before its
+// inserts, so neither side of the MSM is ever fully resident. Peak
+// memory is 2·chunk points plus one bucket set: up to 2^(c-1) buckets
+// for each of the ~254/c windows at the total-n width c — about 1.5 MiB
+// in G1 and 3 MiB in G2 at 2^15 points. The bucket set is a fixed floor
+// of the MSM size that a smaller chunk does not shrink.
 
 // DefaultStreamChunk is the default number of points per streamed-MSM
-// chunk: 8192 G1 points ≈ 512 KiB of decoded bases (1 MiB in G2).
-// Sized by measurement at paper scale: halving from 16384 trims ~4 MB
-// of peak prover RSS (two double-buffered windows plus the raw read
-// buffer, G1 and G2) for no measurable prove-time cost, while halving
-// again costs ~25% prove time for under 1 MB — the bucket reduction
-// stops amortizing.
+// chunk: 8192 G1 points ≈ 512 KiB of decoded bases (1 MiB in G2). The
+// chunk bounds only the point buffers and the per-chunk recode; the
+// bucket work does not depend on it. Each chunk pays one read call and
+// one parallel dispatch of the cells, so much smaller chunks trade
+// prove time for little memory, while larger ones lose the read/compute
+// overlap's granularity and add 2·chunk points of RSS.
 const DefaultStreamChunk = 1 << 13
 
 // streamChunkSize normalizes a caller-supplied chunk size the way the
@@ -58,27 +62,45 @@ type G1Source func(dst []G1Affine, start int) error
 // G2Source is the G2 counterpart of G1Source.
 type G2Source func(dst []G2Affine, start int) error
 
-// multiExpStream runs the shared chunked MSM: it pulls bounded point
-// chunks from src (prefetching one chunk ahead) and folds the per-chunk
-// Pippenger partial sums. digits supplies the recoded scalars for one
-// chunk — either a zero-copy view into a whole-vector decomposition or
-// a fresh per-chunk recoding (identical digits either way, since the
-// signed-digit recoding never crosses scalar boundaries).
+// ScalarSource fills dst with the MSM scalars [start, start+len(dst)) —
+// the scalar-side analogue of G1Source, for MSMs whose scalars live
+// out-of-core too (a spilled witness, a disk-resident quotient). Called
+// serially by the streamed driver.
+type ScalarSource func(dst []fr.Element, start int) error
+
+// decPool and scalarChunkPool recycle the per-chunk recode and scalar
+// read buffers across streamed MSMs: one proof runs five of them back to
+// back (A, B1, B2, K, Z) and a long-lived prover runs many proofs. Both
+// are fully overwritten per chunk, so results are unchanged.
+var decPool, scalarChunkPool sync.Pool
+
+// multiExpStream is the streamed MSM: it pulls bounded point chunks from
+// src (prefetching one chunk ahead) and the matching scalars from
+// scalars, recodes each chunk at window width c, and feeds it to one
+// msmDriver planned for all n points. A registered non-default
+// Accelerator instead receives each chunk whole (its contract takes
+// point slices) and the partial sums add up; the accelerator is resolved
+// per chunk, so a backend registered mid-stream picks up the remaining
+// chunks.
 //
-// tr, when non-nil, records one span per chunk read (on its own lane —
-// reads overlap compute), per scalar recode, and per chunk MSM under
-// label — exposing whether a streamed prove is disk-bound or
-// compute-bound. The nil path costs one nil check per chunk.
-func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start int) error, n int, digits func(start, end int) *ScalarDecomposition, chunk int, tr *obs.Trace, label string) (J, error) {
+// tr, when non-nil, records the whole MSM as one span named label, with
+// one span per chunk read (on its own lane — reads overlap compute), per
+// scalar read and recode, and per chunk's inserts under it — exposing
+// whether a streamed prove is disk-bound or compute-bound. The nil path
+// costs one nil check per chunk.
+func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start int) error, scalars ScalarSource, n, c, chunk int, tr *obs.Trace, label string) (J, error) {
 	sum := cv.infinity()
 	if n == 0 {
 		return sum, nil
 	}
 	chunk = streamChunkSize(n, chunk)
+	d := newMSMDriver[A, J](cv, n, c, msmWindows(c), nil, "")
 
 	var readName, recodeName, msmName string
 	var readLane int
 	if tr != nil {
+		sp := tr.Span(label)
+		defer sp.End()
 		readName, recodeName, msmName = label+"/read", label+"/recode", label+"/msm"
 		readLane = tr.NextLane()
 	}
@@ -92,26 +114,49 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 	free := make(chan []A, 2)
 	free <- make([]A, chunk)
 	free <- make([]A, chunk)
+	// done releases the prefetch goroutine when the consumer returns
+	// early on an error.
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
 		defer close(fills)
 		for start := 0; start < n; start += chunk {
-			end := start + chunk
-			if end > n {
-				end = n
+			end := min(start+chunk, n)
+			var buf []A
+			select {
+			case buf = <-free:
+			case <-done:
+				return
 			}
-			buf := <-free
 			var sp *obs.Span
 			if tr != nil {
 				sp = tr.SpanLane(readName, readLane)
 			}
 			err := src(buf[:end-start], start)
 			sp.End()
-			fills <- filled{buf: buf, start: start, end: end, err: err}
+			select {
+			case fills <- filled{buf: buf, start: start, end: end, err: err}:
+			case <-done:
+				return
+			}
 			if err != nil {
 				return // consumer stops at the error; nothing more to send
 			}
 		}
 	}()
+
+	dec, _ := decPool.Get().(*ScalarDecomposition)
+	defer func() {
+		if dec != nil {
+			decPool.Put(dec)
+		}
+	}()
+	sbuf, _ := scalarChunkPool.Get().(*[]fr.Element)
+	if sbuf == nil {
+		sbuf = new([]fr.Element)
+	}
+	*sbuf = grow(*sbuf, chunk)
+	defer scalarChunkPool.Put(sbuf)
 	for f := range fills {
 		if f.err != nil {
 			return sum, fmt.Errorf("curve: streamed MSM read at %d: %w", f.start, f.err)
@@ -120,157 +165,66 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 		if tr != nil {
 			sp = tr.Span(recodeName)
 		}
-		dec := digits(f.start, f.end)
+		s := (*sbuf)[:f.end-f.start]
+		if err := scalars(s, f.start); err != nil {
+			sp.End()
+			return sum, fmt.Errorf("curve: streamed MSM scalar read at %d: %w", f.start, err)
+		}
+		dec = decomposeScalarsInto(dec, s, c)
 		sp.End()
 		if tr != nil {
 			sp = tr.Span(msmName)
 		}
-		// Each chunk resolves the accelerator at dispatch time, so a
-		// backend registered mid-stream picks up the remaining chunks and
-		// an out-of-process backend serves out-of-core proves unchanged.
-		part := cv.accelerated(ActiveAccelerator(), f.buf[:f.end-f.start], dec)
+		points := f.buf[:f.end-f.start]
+		acc := ActiveAccelerator()
+		if _, cpu := acc.(pippengerCPU); cpu {
+			d.add(points, dec, f.end == n)
+		} else {
+			part := cv.accelerated(acc, points, dec)
+			cv.add(&sum, &part)
+		}
 		sp.End()
 		free <- f.buf
-		cv.add(&sum, &part)
 	}
+	res := d.finish()
+	cv.add(&sum, &res)
 	return sum, nil
 }
 
-// MultiExpG1Stream computes Σ kᵢ·Pᵢ where the points arrive from src in
-// bounded chunks instead of living in RAM. The decomposition covers the
-// full scalar vector (its Len is the MSM size); pick the window width
-// for the chunk size, not the total size — each chunk runs its own
-// Pippenger pass. The result equals MultiExpG1 on the same inputs.
-func MultiExpG1Stream(src G1Source, dec *ScalarDecomposition, chunk int) (G1Jac, error) {
-	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, dec.n, dec.Slice, chunk, nil, "")
-}
-
-// MultiExpG2Stream is the G2 counterpart of MultiExpG1Stream.
-func MultiExpG2Stream(src G2Source, dec *ScalarDecomposition, chunk int) (G2Jac, error) {
-	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, dec.n, dec.Slice, chunk, nil, "")
-}
-
-// decPool recycles per-chunk recode buffers across streamed MSMs: one
-// proof runs five of them back to back (A, B1, B2, K, Z) and a
-// long-lived prover runs many proofs, so without pooling every MSM
-// call re-grows a digits table only to drop it. The pooled object's
-// digit storage is reused by decomposeScalarsInto whenever it is large
-// enough; digits are fully overwritten per chunk, so results are
-// unchanged. The pool holds a handful of chunk-sized int16 tables
-// (tens of KB each at DefaultStreamChunk) and the GC clears it under
-// pressure.
-var decPool sync.Pool
-
-func getDecomposition() *ScalarDecomposition {
-	if d, ok := decPool.Get().(*ScalarDecomposition); ok {
-		return d
-	}
-	return &ScalarDecomposition{}
-}
-
-func putDecomposition(d *ScalarDecomposition) {
-	if d != nil {
-		decPool.Put(d)
-	}
-}
-
-// scalarChunkPool recycles the per-chunk scalar read buffers of the
-// scalar-source MSMs the same way.
-var scalarChunkPool sync.Pool
-
-func getScalarChunk(n int) []fr.Element {
-	if p, ok := scalarChunkPool.Get().(*[]fr.Element); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]fr.Element, n)
-}
-
-func putScalarChunk(s []fr.Element) {
-	scalarChunkPool.Put(&s)
-}
-
-// ScalarSource fills dst with the MSM scalars [start, start+len(dst)) —
-// the scalar-side analogue of G1Source, for MSMs whose scalars live
-// out-of-core too (a spilled witness, a disk-resident quotient). Called
-// serially by the streamed driver.
-type ScalarSource func(dst []fr.Element, start int) error
-
-// sliceScalars adapts resident scalars to a ScalarSource.
-func sliceScalars(scalars []fr.Element) ScalarSource {
-	return func(dst []fr.Element, start int) error {
-		copy(dst, scalars[start:start+len(dst)])
-		return nil
-	}
-}
-
-// multiExpStreamSource is multiExpStream with lazy scalar recoding:
-// instead of a whole-vector decomposition (two digit bytes per window
-// per scalar — tens of MB at paper scale), each chunk's scalars are
-// loaded from the source into a reused buffer and recoded with window
-// width c just before its Pippenger pass, so neither side of the MSM is
-// ever fully resident. Digits are identical to the eager path because
-// the signed-digit recoding is per-scalar, so the result equals the
-// in-memory MSM on the same inputs. The scalar read is folded into the
-// recode span — both sit between chunks on the consumer side.
-func multiExpStreamSource[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start int) error, scalars ScalarSource, n, c, chunk int, tr *obs.Trace, label string) (J, error) {
-	// The driver consumes each chunk's digits before requesting the
-	// next, so one digit buffer and one scalar buffer serve every chunk.
-	reuse := getDecomposition()
-	defer func() { putDecomposition(reuse) }()
-	sbuf := getScalarChunk(streamChunkSize(n, chunk))
-	defer putScalarChunk(sbuf)
-	var srcErr error
-	res, err := multiExpStream[A, J](cv, src, n, func(start, end int) *ScalarDecomposition {
-		s := sbuf[:end-start]
-		if srcErr == nil {
-			if err := scalars(s, start); err != nil {
-				srcErr = fmt.Errorf("curve: streamed MSM scalar read at %d: %w", start, err)
-			}
-		}
-		if srcErr != nil {
-			clear(s) // keep the doomed pass harmless; the error surfaces below
-		}
-		reuse = decomposeScalarsInto(reuse, s, c)
-		return reuse
-	}, chunk, tr, label)
-	if err == nil {
-		err = srcErr
-	}
-	return res, err
-}
-
-// MultiExpG1StreamScalars is MultiExpG1Stream with lazy per-chunk
-// scalar recoding (see multiExpStreamSource): only one chunk's digits
-// are ever resident.
+// MultiExpG1StreamScalars computes Σ kᵢ·Pᵢ with the points arriving from
+// src in bounded chunks and the scalars recoded chunk by chunk at window
+// width c (use StreamWindowSize). The result equals MultiExpG1 on the
+// same inputs.
 func MultiExpG1StreamScalars(src G1Source, scalars []fr.Element, c, chunk int) (G1Jac, error) {
-	return MultiExpG1StreamScalarSourceTraced(src, sliceScalars(scalars), len(scalars), c, chunk, nil, "")
+	return MultiExpG1StreamScalarSourceTraced(src, sliceSource(scalars), len(scalars), c, chunk, nil, "")
 }
 
 // MultiExpG2StreamScalars is the G2 counterpart of MultiExpG1StreamScalars.
 func MultiExpG2StreamScalars(src G2Source, scalars []fr.Element, c, chunk int) (G2Jac, error) {
-	return MultiExpG2StreamScalarSourceTraced(src, sliceScalars(scalars), len(scalars), c, chunk, nil, "")
+	return MultiExpG2StreamScalarSourceTraced(src, sliceSource(scalars), len(scalars), c, chunk, nil, "")
 }
 
 // MultiExpG1StreamScalarSourceTraced computes Σ kᵢ·Pᵢ with the points
 // arriving from src and the scalars from scalars, both in bounded
-// chunks, recording per-chunk read/recode/MSM spans on tr under label
-// (nil tr is the untraced fast path).
+// chunks, recording the MSM and its per-chunk read/recode/insert spans
+// on tr under label (nil tr is the untraced fast path).
 func MultiExpG1StreamScalarSourceTraced(src G1Source, scalars ScalarSource, n, c, chunk int, tr *obs.Trace, label string) (G1Jac, error) {
-	return multiExpStreamSource[G1Affine, G1Jac](g1Msm{}, src, scalars, n, c, chunk, tr, label)
+	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, scalars, n, c, chunk, tr, label)
 }
 
 // MultiExpG2StreamScalarSourceTraced is the G2 counterpart of
 // MultiExpG1StreamScalarSourceTraced.
 func MultiExpG2StreamScalarSourceTraced(src G2Source, scalars ScalarSource, n, c, chunk int, tr *obs.Trace, label string) (G2Jac, error) {
-	return multiExpStreamSource[G2Affine, G2Jac](g2Msm{}, src, scalars, n, c, chunk, tr, label)
+	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, scalars, n, c, chunk, tr, label)
 }
 
 // StreamWindowSize picks the Pippenger window width for a streamed MSM
-// of n total points walked in chunks of the given size: each chunk runs
-// its own bucket accumulation and reduction, so the width that balances
-// inserts against bucket scans is the chunk's, not the total's.
+// of n total points walked in chunks of the given size. The buckets
+// persist across chunks and are reduced once, so the width that
+// balances inserts against bucket scans is the total's, whatever the
+// chunk size.
 func StreamWindowSize(n, chunk int) int {
-	return MSMWindowSize(streamChunkSize(n, chunk))
+	return MSMWindowSize(n)
 }
 
 // NewG1RawSource returns a G1Source decoding the contiguous run of
@@ -279,81 +233,51 @@ func StreamWindowSize(n, chunk int) int {
 // Decoding parallelizes across the chunk; the byte buffer is reused
 // between calls, so the source must not be shared across goroutines.
 func NewG1RawSource(r io.ReaderAt, off int64) G1Source {
-	var raw []byte
-	return func(dst []G1Affine, start int) error {
-		need := len(dst) * G1UncompressedSize
-		if cap(raw) < need {
-			raw = make([]byte, need)
-		}
-		b := raw[:need]
-		if _, err := r.ReadAt(b, off+int64(start)*G1UncompressedSize); err != nil {
-			return err
-		}
-		return decodeRawChunk(len(dst), func(i int) error {
-			return dst[i].SetBytesRaw(b[i*G1UncompressedSize : (i+1)*G1UncompressedSize])
-		})
-	}
+	return newRawSource[G1Affine](r, off, G1UncompressedSize)
 }
 
 // NewG2RawSource is the G2 counterpart of NewG1RawSource (128-byte
 // uncompressed points).
 func NewG2RawSource(r io.ReaderAt, off int64) G2Source {
+	return newRawSource[G2Affine](r, off, G2UncompressedSize)
+}
+
+func newRawSource[A any, PA interface {
+	*A
+	SetBytesRaw(buf []byte) error
+}](r io.ReaderAt, off int64, size int) func(dst []A, start int) error {
 	var raw []byte
-	return func(dst []G2Affine, start int) error {
-		need := len(dst) * G2UncompressedSize
-		if cap(raw) < need {
-			raw = make([]byte, need)
-		}
-		b := raw[:need]
-		if _, err := r.ReadAt(b, off+int64(start)*G2UncompressedSize); err != nil {
+	return func(dst []A, start int) error {
+		raw = grow(raw, len(dst)*size)
+		if _, err := r.ReadAt(raw, off+int64(start)*int64(size)); err != nil {
 			return err
 		}
-		return decodeRawChunk(len(dst), func(i int) error {
-			return dst[i].SetBytesRaw(b[i*G2UncompressedSize : (i+1)*G2UncompressedSize])
-		})
-	}
-}
-
-// decodeRawChunk runs the per-point decode in parallel, keeping the
-// first error observed.
-func decodeRawChunk(n int, decode func(i int) error) error {
-	var mu sync.Mutex
-	var firstErr error
-	par.Range(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if err := decode(i); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
+		// Decode in parallel, keeping the first error observed.
+		var mu sync.Mutex
+		var firstErr error
+		par.Range(len(dst), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if err := PA(&dst[i]).SetBytesRaw(raw[i*size : (i+1)*size]); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					return
 				}
-				mu.Unlock()
-				return
 			}
-		}
-	})
-	return firstErr
-}
-
-// SliceSourceG1 adapts an in-memory point slice to a G1Source — the
-// degenerate source used by tests and by callers that already hold the
-// points but want the bounded-memory accumulation path.
-func SliceSourceG1(points []G1Affine) G1Source {
-	return func(dst []G1Affine, start int) error {
-		if start < 0 || start+len(dst) > len(points) {
-			return errors.New("curve: slice source read out of range")
-		}
-		copy(dst, points[start:start+len(dst)])
-		return nil
+		})
+		return firstErr
 	}
 }
 
-// SliceSourceG2 adapts an in-memory point slice to a G2Source.
-func SliceSourceG2(points []G2Affine) G2Source {
-	return func(dst []G2Affine, start int) error {
-		if start < 0 || start+len(dst) > len(points) {
+// sliceSource adapts resident points or scalars to a source.
+func sliceSource[T any](vals []T) func(dst []T, start int) error {
+	return func(dst []T, start int) error {
+		if start < 0 || start+len(dst) > len(vals) {
 			return errors.New("curve: slice source read out of range")
 		}
-		copy(dst, points[start:start+len(dst)])
+		copy(dst, vals[start:start+len(dst)])
 		return nil
 	}
 }

@@ -12,6 +12,7 @@
 package fp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -497,12 +498,14 @@ func (z *Element) SetBytesCanonical(b []byte) error {
 	if len(b) != Bytes {
 		return errors.New("fp: invalid encoding length")
 	}
-	var v big.Int
-	v.SetBytes(b)
-	if v.Cmp(&qModulus) >= 0 {
+	var t Element
+	for i := range t {
+		t[i] = binary.BigEndian.Uint64(b[Bytes-8*(i+1):])
+	}
+	if !t.smallerThanModulus() {
 		return errors.New("fp: encoding is not canonical")
 	}
-	z.SetBigInt(&v)
+	*z = *t.toMont()
 	return nil
 }
 

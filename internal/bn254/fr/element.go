@@ -14,6 +14,7 @@
 package fr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -379,12 +380,14 @@ func (z *Element) SetBytesCanonical(b []byte) error {
 	if len(b) != Bytes {
 		return errors.New("fr: invalid encoding length")
 	}
-	var v big.Int
-	v.SetBytes(b)
-	if v.Cmp(&qModulus) >= 0 {
+	var t Element
+	for i := range t {
+		t[i] = binary.BigEndian.Uint64(b[Bytes-8*(i+1):])
+	}
+	if !t.smallerThanModulus() {
 		return errors.New("fr: encoding is not canonical")
 	}
-	z.SetBigInt(&v)
+	*z = *t.toMont()
 	return nil
 }
 

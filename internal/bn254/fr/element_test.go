@@ -244,6 +244,16 @@ func TestBytesRoundTrip(t *testing.T) {
 	if err := e.SetBytesCanonical([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short encoding accepted")
 	}
+	if err := e.SetBytesCanonical(bytes.Repeat([]byte{0xff}, Bytes)); err == nil {
+		t.Fatal("2^256-1 accepted as canonical encoding")
+	}
+	var pm1 Element
+	pm1.SetOne()
+	pm1.Neg(&pm1)
+	pm1Enc := pm1.Bytes()
+	if err := e.SetBytesCanonical(pm1Enc[:]); err != nil || !e.Equal(&pm1) {
+		t.Fatalf("p-1 round trip: %v", err)
+	}
 }
 
 func TestCmpAndLexicographicallyLargest(t *testing.T) {

@@ -21,7 +21,7 @@ func TestWitnessFilePageCache(t *testing.T) {
 
 	ref := make([]fr.Element, n)
 	rng := rand.New(rand.NewSource(11))
-	for k := 0; k < 4*n; k++ {
+	for k := 0; k < 4*n/pageCacheOpsDivisor; k++ {
 		i := uint32(rng.Intn(n))
 		if rng.Intn(2) == 0 {
 			var v fr.Element
