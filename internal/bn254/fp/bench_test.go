@@ -1,56 +1,78 @@
 package fp
 
-import "testing"
+import (
+	"testing"
+
+	"zkrownn/internal/bn254/mont/fieldtest"
+)
+
+// The field microbenchmark ladder (see package fieldtest); the fp and
+// fr files differ only in the package clause and in how Butterfly's
+// twiddled pass is spelled.
+
+var randomVec = fieldtest.RandomVec[Element]
 
 func BenchmarkMul(b *testing.B) {
-	x := MustRandom()
-	y := MustRandom()
+	x, y := MustRandom(), MustRandom()
 	var z Element
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Mul(&x, &y)
 	}
-	_ = z
 }
 
 func BenchmarkSquare(b *testing.B) {
 	x := MustRandom()
 	var z Element
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Square(&x)
 	}
-	_ = z
 }
 
 func BenchmarkAdd(b *testing.B) {
-	x := MustRandom()
-	y := MustRandom()
+	x, y := MustRandom(), MustRandom()
 	var z Element
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Add(&x, &y)
 	}
-	_ = z
 }
 
 func BenchmarkInverse(b *testing.B) {
 	x := MustRandom()
 	var z Element
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Inverse(&x)
 	}
-	_ = z
 }
 
 func BenchmarkBatchInvert1024(b *testing.B) {
-	in := make([]Element, 1024)
-	for i := range in {
-		in[i] = MustRandom()
-	}
+	in := randomVec(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = BatchInvert(in)
 	}
+}
+
+func BenchmarkMulVec(b *testing.B) {
+	fieldtest.BenchVec(b, func(b *testing.B, n int) {
+		x, y, dst := randomVec(n), randomVec(n), make([]Element, n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MulVecInto(dst, x, y)
+		}
+	})
+}
+
+// BenchmarkButterfly times a twiddled butterfly pass: t = hi·tw;
+// (lo, hi) = (lo+t, lo−t).
+func BenchmarkButterfly(b *testing.B) {
+	fieldtest.BenchVec(b, func(b *testing.B, n int) {
+		lo, hi, tw := randomVec(n), randomVec(n), randomVec(n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MulVecInto(hi, hi, tw)
+			for j := range lo {
+				Butterfly(&lo[j], &hi[j])
+			}
+		}
+	})
 }

@@ -5,116 +5,45 @@
 // is the 254-bit prime underlying the alt_bn128 (BN128/BN254) pairing
 // curve used by libsnark and therefore by the original ZKROWNN artifact.
 //
-// Elements are stored in Montgomery form as four 64-bit little-endian
-// limbs. All derived constants (Montgomery R, R², -p⁻¹ mod 2⁶⁴) are
-// computed at package init from the decimal modulus string rather than
-// hard-coded, which keeps the implementation auditable.
+// Element is a typed wrapper over the shared Montgomery core in package
+// mont (mont.Fp): every method is a one-line call into it, so fp and fr
+// run the same multiply, assembly, inversion and encoding code while
+// their element types stay distinct.
 package fp
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
+	"io"
 	"math/big"
-	"math/bits"
+
+	"zkrownn/internal/bn254/mont"
 )
 
 // Limbs is the number of 64-bit words in an element.
-const Limbs = 4
+const Limbs = mont.Limbs
 
 // Bits is the size of the modulus in bits.
-const Bits = 254
+const Bits = mont.Bits
 
 // Bytes is the size of a serialized element.
-const Bytes = 32
+const Bytes = mont.Bytes
 
 // ModulusStr is the decimal representation of the field modulus.
-const ModulusStr = "21888242871839275222246405745257275088696311157297823662689037894645226208583"
+const ModulusStr = mont.PModulus
 
 // Element is a field element in Montgomery form: the integer a is stored
 // as a·R mod p with R = 2²⁵⁶. The zero value is the field's zero.
 type Element [Limbs]uint64
 
-var (
-	qModulus big.Int // the modulus p
-	q        [Limbs]uint64
-	qInvNeg  uint64 // -p⁻¹ mod 2⁶⁴
-
-	rSquare     Element // R² mod p (Montgomery form of R)
-	rCube       Element // R³ mod p, converts binary-GCD inverses back to Montgomery form
-	one         Element // Montgomery form of 1
-	zero        Element
-	qMinusOne   big.Int // p-1
-	qMinusTwo   big.Int // p-2, inversion exponent
-	sqrtExp     big.Int // (p+1)/4, square-root exponent (p ≡ 3 mod 4)
-	qHalfPlus1  big.Int // (p+1)/2, used for lexicographic ordering
-	negOne      Element
-	twoInv      Element                               // 1/2
-	qBig2       = new(big.Int).Lsh(big.NewInt(1), 64) // 2⁶⁴
-	initialized bool
-)
-
-func init() {
-	if _, ok := qModulus.SetString(ModulusStr, 10); !ok {
-		panic("fp: invalid modulus string")
-	}
-	if qModulus.Bit(0) == 0 || qModulus.Bit(1) == 0 {
-		panic("fp: modulus must be ≡ 3 mod 4")
-	}
-	fillLimbs(&qModulus, &q)
-
-	// qInvNeg = -p⁻¹ mod 2⁶⁴.
-	var pInv big.Int
-	if pInv.ModInverse(&qModulus, qBig2) == nil {
-		panic("fp: modulus not invertible mod 2⁶⁴")
-	}
-	pInv.Neg(&pInv).Mod(&pInv, qBig2)
-	qInvNeg = pInv.Uint64()
-
-	// R = 2²⁵⁶ mod p, R² mod p.
-	r := new(big.Int).Lsh(big.NewInt(1), 256)
-	r.Mod(r, &qModulus)
-	r2 := new(big.Int).Mul(r, r)
-	r2.Mod(r2, &qModulus)
-	fillLimbs(r, (*[Limbs]uint64)(&one))
-	fillLimbs(r2, (*[Limbs]uint64)(&rSquare))
-	r3 := new(big.Int).Mul(r2, r)
-	r3.Mod(r3, &qModulus)
-	fillLimbs(r3, (*[Limbs]uint64)(&rCube))
-
-	qMinusOne.Sub(&qModulus, big.NewInt(1))
-	qMinusTwo.Sub(&qModulus, big.NewInt(2))
-	sqrtExp.Add(&qModulus, big.NewInt(1))
-	sqrtExp.Rsh(&sqrtExp, 2)
-	qHalfPlus1.Add(&qModulus, big.NewInt(1))
-	qHalfPlus1.Rsh(&qHalfPlus1, 1)
-
-	negOne.Neg(&one)
-	var two Element
-	two.SetUint64(2)
-	twoInv.Inverse(&two)
-	initialized = true
-}
-
-// fillLimbs writes the little-endian 64-bit limbs of v (assumed < 2²⁵⁶)
-// into out.
-func fillLimbs(v *big.Int, out *[Limbs]uint64) {
-	var tmp big.Int
-	tmp.Set(v)
-	mask := new(big.Int).SetUint64(^uint64(0))
-	for i := 0; i < Limbs; i++ {
-		var w big.Int
-		w.And(&tmp, mask)
-		out[i] = w.Uint64()
-		tmp.Rsh(&tmp, 64)
-	}
-	if tmp.Sign() != 0 {
-		panic("fp: value does not fit in 4 limbs")
-	}
-}
+// l exposes the limbs of an element to the core.
+func l(z *Element) *[Limbs]uint64 { return (*[Limbs]uint64)(z) }
 
 // Modulus returns a copy of the field modulus as a big.Int.
-func Modulus() *big.Int { return new(big.Int).Set(&qModulus) }
+func Modulus() *big.Int { return mont.Fp.Modulus() }
+
+// MulBackend names the multiplication backend selected at startup:
+// "adx" for the MULX/ADCX/ADOX assembly, "generic" for the portable core.
+func MulBackend() string { return mont.MulBackend() }
 
 // NewElement returns an element set to the given uint64 value.
 func NewElement(v uint64) Element {
@@ -123,20 +52,21 @@ func NewElement(v uint64) Element {
 	return e
 }
 
-// SetZero sets z to 0 and returns z.
-func (z *Element) SetZero() *Element { *z = zero; return z }
+// MustRandom returns a uniformly random element, panicking on RNG
+// failure. Intended for tests and key generation.
+func MustRandom() Element { return Element(mont.Fp.MustRandom()) }
 
-// SetOne sets z to 1 (Montgomery form) and returns z.
-func (z *Element) SetOne() *Element { *z = one; return z }
+// SetZero sets z to 0 and returns z.
+func (z *Element) SetZero() *Element { *z = Element{}; return z }
+
+// SetOne sets z to 1 and returns z.
+func (z *Element) SetOne() *Element { mont.Fp.SetOne(l(z)); return z }
 
 // Set copies x into z and returns z.
 func (z *Element) Set(x *Element) *Element { *z = *x; return z }
 
 // SetUint64 sets z to v and returns z.
-func (z *Element) SetUint64(v uint64) *Element {
-	*z = Element{v}
-	return z.toMont()
-}
+func (z *Element) SetUint64(v uint64) *Element { mont.Fp.SetUint64(l(z), v); return z }
 
 // SetInt64 sets z to v (which may be negative) and returns z.
 func (z *Element) SetInt64(v int64) *Element {
@@ -148,372 +78,111 @@ func (z *Element) SetInt64(v int64) *Element {
 }
 
 // SetBigInt sets z to v mod p and returns z.
-func (z *Element) SetBigInt(v *big.Int) *Element {
-	var t big.Int
-	t.Mod(v, &qModulus)
-	var limbs [Limbs]uint64
-	fillLimbs(&t, &limbs)
-	*z = Element(limbs)
-	return z.toMont()
-}
+func (z *Element) SetBigInt(v *big.Int) *Element { mont.Fp.SetBigInt(l(z), v); return z }
 
 // SetString sets z to the value of the decimal (or 0x-prefixed hex)
 // string s, reduced mod p.
 func (z *Element) SetString(s string) (*Element, error) {
-	v, ok := new(big.Int).SetString(s, 0)
-	if !ok {
-		return nil, errors.New("fp: invalid number literal " + s)
+	if err := mont.Fp.SetString(l(z), s); err != nil {
+		return nil, err
 	}
-	return z.SetBigInt(v), nil
+	return z, nil
 }
 
-// MustSetString is SetString that panics on malformed input; intended for
-// package-level constants.
-func (z *Element) MustSetString(s string) *Element {
-	e, err := z.SetString(s)
-	if err != nil {
-		panic(err)
+// SetRandom sets z to a uniformly random field element read from rng
+// (crypto/rand.Reader when rng is nil) and returns z.
+func (z *Element) SetRandom(rng io.Reader) (*Element, error) {
+	if err := mont.Fp.SetRandom(l(z), rng); err != nil {
+		return nil, err
 	}
-	return e
+	return z, nil
 }
+
+// SetBytes sets z from a big-endian byte slice (interpreted mod p) and
+// returns z.
+func (z *Element) SetBytes(b []byte) *Element { mont.Fp.SetBytes(l(z), b); return z }
+
+// SetBytesCanonical sets z from exactly 32 big-endian bytes, requiring
+// the value to be a canonical (< p) encoding.
+func (z *Element) SetBytesCanonical(b []byte) error { return mont.Fp.SetBytesCanonical(l(z), b) }
+
+// Bytes returns the canonical big-endian 32-byte encoding of z.
+func (z *Element) Bytes() [Bytes]byte { return mont.Fp.Bytes(l(z)) }
 
 // BigInt writes the canonical (non-Montgomery) value of z into res and
 // returns res.
-func (z *Element) BigInt(res *big.Int) *big.Int {
-	t := *z
-	t.fromMont()
-	res.SetUint64(0)
-	for i := Limbs - 1; i >= 0; i-- {
-		res.Lsh(res, 64)
-		var w big.Int
-		w.SetUint64(t[i])
-		res.Or(res, &w)
-	}
-	return res
-}
+func (z *Element) BigInt(res *big.Int) *big.Int { return mont.Fp.BigInt(l(z), res) }
 
 // ToBigInt returns the canonical value of z as a fresh big.Int.
 func (z *Element) ToBigInt() *big.Int { return z.BigInt(new(big.Int)) }
 
+// RegularLimbs returns the canonical (non-Montgomery) little-endian
+// 64-bit limbs of z.
+func (z *Element) RegularLimbs() [Limbs]uint64 { return mont.Fp.Regular(l(z)) }
+
+// Bit returns bit i of the canonical value of z.
+func (z *Element) Bit(i int) uint64 { return mont.Fp.Bit(l(z), i) }
+
 // String returns the decimal representation of z.
-func (z Element) String() string { return z.ToBigInt().String() }
+func (z Element) String() string { return mont.Fp.String(l(&z)) }
 
 // Format implements fmt.Formatter for %v/%s/%d.
-func (z Element) Format(s fmt.State, verb rune) {
-	fmt.Fprint(s, z.String())
-}
+func (z Element) Format(s fmt.State, verb rune) { fmt.Fprint(s, z.String()) }
 
 // IsZero reports whether z == 0.
 func (z *Element) IsZero() bool { return z[0]|z[1]|z[2]|z[3] == 0 }
 
 // IsOne reports whether z == 1.
-func (z *Element) IsOne() bool { return *z == one }
+func (z *Element) IsOne() bool { return mont.Fp.IsOne(l(z)) }
 
 // Equal reports whether z == x.
 func (z *Element) Equal(x *Element) bool { return *z == *x }
 
-// smallerThanModulus reports whether z (raw limbs) < p.
-func (z *Element) smallerThanModulus() bool {
-	for i := Limbs - 1; i >= 0; i-- {
-		if z[i] < q[i] {
-			return true
-		}
-		if z[i] > q[i] {
-			return false
-		}
-	}
-	return false // equal
-}
-
-// Add sets z = x + y mod p and returns z.
-func (z *Element) Add(x, y *Element) *Element {
-	var carry uint64
-	z[0], carry = bits.Add64(x[0], y[0], 0)
-	z[1], carry = bits.Add64(x[1], y[1], carry)
-	z[2], carry = bits.Add64(x[2], y[2], carry)
-	z[3], _ = bits.Add64(x[3], y[3], carry)
-	if !z.smallerThanModulus() {
-		var b uint64
-		z[0], b = bits.Sub64(z[0], q[0], 0)
-		z[1], b = bits.Sub64(z[1], q[1], b)
-		z[2], b = bits.Sub64(z[2], q[2], b)
-		z[3], _ = bits.Sub64(z[3], q[3], b)
-	}
-	return z
-}
-
-// Double sets z = 2x mod p and returns z.
-func (z *Element) Double(x *Element) *Element { return z.Add(x, x) }
-
-// Sub sets z = x - y mod p and returns z.
-func (z *Element) Sub(x, y *Element) *Element {
-	var b uint64
-	z[0], b = bits.Sub64(x[0], y[0], 0)
-	z[1], b = bits.Sub64(x[1], y[1], b)
-	z[2], b = bits.Sub64(x[2], y[2], b)
-	z[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		z[0], c = bits.Add64(z[0], q[0], 0)
-		z[1], c = bits.Add64(z[1], q[1], c)
-		z[2], c = bits.Add64(z[2], q[2], c)
-		z[3], _ = bits.Add64(z[3], q[3], c)
-	}
-	return z
-}
-
-// Neg sets z = -x mod p and returns z.
-func (z *Element) Neg(x *Element) *Element {
-	if x.IsZero() {
-		return z.SetZero()
-	}
-	var b uint64
-	z[0], b = bits.Sub64(q[0], x[0], 0)
-	z[1], b = bits.Sub64(q[1], x[1], b)
-	z[2], b = bits.Sub64(q[2], x[2], b)
-	z[3], _ = bits.Sub64(q[3], x[3], b)
-	return z
-}
-
-// toMont converts z (raw integer limbs) to Montgomery form in place.
-func (z *Element) toMont() *Element { return z.Mul(z, &rSquare) }
-
-// fromMont converts z from Montgomery form to raw integer limbs in place
-// by multiplying with 1 (Montgomery product divides by R).
-func (z *Element) fromMont() *Element {
-	montOne := Element{1}
-	return z.Mul(z, &montOne)
-}
-
-// Exp sets z = x^k mod p for a non-negative big.Int exponent and returns z.
-func (z *Element) Exp(x *Element, k *big.Int) *Element {
-	if k.Sign() < 0 {
-		panic("fp: negative exponent")
-	}
-	var res Element
-	res.SetOne()
-	base := *x
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		res.Square(&res)
-		if k.Bit(i) == 1 {
-			res.Mul(&res, &base)
-		}
-	}
-	return z.Set(&res)
-}
-
-// Inverse sets z = 1/x mod p (or 0 when x == 0) and returns z.
-//
-// It runs the binary extended Euclidean algorithm on the raw Montgomery
-// representative: for x storing a·R, the GCD yields (a·R)⁻¹ = a⁻¹·R⁻¹,
-// and one Montgomery multiplication by R³ restores Montgomery form
-// (a⁻¹·R). This is ~4× faster than the Fermat exponentiation
-// (inverseExp, kept as the cross-check oracle) and inversions sit on hot
-// paths: batch-invert flushes in the MSM, affine Miller-loop steps, and
-// Jacobian-to-affine conversion.
-func (z *Element) Inverse(x *Element) *Element {
-	if x.IsZero() {
-		return z.SetZero()
-	}
-	u := [Limbs]uint64(*x) // the raw representative a·R mod p, non-zero, < p
-	v := q
-	var x1, x2 Element
-	x1 = Element{1} // plain integer accumulators mod p, not Montgomery
-	// Invariants: x1·(a·R) ≡ u and x2·(a·R) ≡ v (mod p).
-	for !limbsAreOne(&u) && !limbsAreOne(&v) {
-		for u[0]&1 == 0 {
-			limbsShiftRight1(&u, 0)
-			halveModAccumulator(&x1)
-		}
-		for v[0]&1 == 0 {
-			limbsShiftRight1(&v, 0)
-			halveModAccumulator(&x2)
-		}
-		if limbsGeq(&u, &v) {
-			limbsSub(&u, &v)
-			x1.Sub(&x1, &x2)
-		} else {
-			limbsSub(&v, &u)
-			x2.Sub(&x2, &x1)
-		}
-	}
-	if limbsAreOne(&u) {
-		*z = x1
-	} else {
-		*z = x2
-	}
-	// z now holds (a·R)⁻¹ = a⁻¹·R⁻¹ as a plain integer; Montgomery
-	// multiplication by R³ yields a⁻¹·R⁻¹·R³·R⁻¹ = a⁻¹·R.
-	return z.Mul(z, &rCube)
-}
-
-// inverseExp is the Fermat-exponentiation inverse, kept as the oracle
-// the fast Inverse is property-tested against.
-func inverseExp(z, x *Element) *Element {
-	if x.IsZero() {
-		return z.SetZero()
-	}
-	return z.Exp(x, &qMinusTwo)
-}
-
-// limbsAreOne reports whether a holds the integer 1.
-func limbsAreOne(a *[Limbs]uint64) bool {
-	return a[0] == 1 && a[1]|a[2]|a[3] == 0
-}
-
-// limbsGeq reports whether a >= b as integers.
-func limbsGeq(a, b *[Limbs]uint64) bool {
-	for i := Limbs - 1; i >= 0; i-- {
-		if a[i] > b[i] {
-			return true
-		}
-		if a[i] < b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// limbsSub sets a -= b (caller guarantees a >= b).
-func limbsSub(a, b *[Limbs]uint64) {
-	var bw uint64
-	a[0], bw = bits.Sub64(a[0], b[0], 0)
-	a[1], bw = bits.Sub64(a[1], b[1], bw)
-	a[2], bw = bits.Sub64(a[2], b[2], bw)
-	a[3], _ = bits.Sub64(a[3], b[3], bw)
-}
-
-// limbsShiftRight1 sets a = (a + hi·2²⁵⁶) >> 1.
-func limbsShiftRight1(a *[Limbs]uint64, hi uint64) {
-	a[0] = a[0]>>1 | a[1]<<63
-	a[1] = a[1]>>1 | a[2]<<63
-	a[2] = a[2]>>1 | a[3]<<63
-	a[3] = a[3]>>1 | hi<<63
-}
-
-// halveModAccumulator sets x = x/2 mod p for the GCD's Bezout
-// accumulators: even values shift, odd values first add p (the sum can
-// carry past 2²⁵⁶, tracked in the shift's high bit).
-func halveModAccumulator(x *Element) {
-	if x[0]&1 == 0 {
-		limbsShiftRight1((*[Limbs]uint64)(x), 0)
-		return
-	}
-	var carry uint64
-	x[0], carry = bits.Add64(x[0], q[0], 0)
-	x[1], carry = bits.Add64(x[1], q[1], carry)
-	x[2], carry = bits.Add64(x[2], q[2], carry)
-	x[3], carry = bits.Add64(x[3], q[3], carry)
-	limbsShiftRight1((*[Limbs]uint64)(x), carry)
-}
-
-// Halve sets z = z/2 mod p and returns z.
-func (z *Element) Halve() *Element { return z.Mul(z, &twoInv) }
-
-// Legendre returns the Legendre symbol of z: 1 if z is a non-zero square,
-// -1 if it is a non-square, 0 if z == 0.
-func (z *Element) Legendre() int {
-	if z.IsZero() {
-		return 0
-	}
-	var t Element
-	t.Exp(z, new(big.Int).Rsh(&qMinusOne, 1))
-	if t.IsOne() {
-		return 1
-	}
-	return -1
-}
-
-// Sqrt sets z to a square root of x if one exists and returns z, or
-// returns nil when x is a non-residue. Uses the p ≡ 3 mod 4 shortcut.
-func (z *Element) Sqrt(x *Element) *Element {
-	var cand Element
-	cand.Exp(x, &sqrtExp)
-	var check Element
-	check.Square(&cand)
-	if !check.Equal(x) {
-		return nil
-	}
-	return z.Set(&cand)
-}
-
-// Select sets z = a if cond == 0, else z = b, and returns z.
-func (z *Element) Select(cond int, a, b *Element) *Element {
-	if cond == 0 {
-		return z.Set(a)
-	}
-	return z.Set(b)
-}
-
 // Cmp compares the canonical values of z and x, returning -1, 0, or 1.
-func (z *Element) Cmp(x *Element) int {
-	a := *z
-	b := *x
-	a.fromMont()
-	b.fromMont()
-	for i := Limbs - 1; i >= 0; i-- {
-		if a[i] < b[i] {
-			return -1
-		}
-		if a[i] > b[i] {
-			return 1
-		}
-	}
-	return 0
-}
+func (z *Element) Cmp(x *Element) int { return mont.Fp.Cmp(l(z), l(x)) }
 
 // LexicographicallyLargest reports whether the canonical value of z is
 // strictly greater than (p-1)/2. Used as the "sign" bit in compressed
 // point encodings.
-func (z *Element) LexicographicallyLargest() bool {
-	v := z.ToBigInt()
-	return v.Cmp(&qHalfPlus1) >= 0
+func (z *Element) LexicographicallyLargest() bool { return mont.Fp.LexicographicallyLargest(l(z)) }
+
+// Add sets z = x + y mod p and returns z.
+func (z *Element) Add(x, y *Element) *Element { mont.Fp.Add(l(z), l(x), l(y)); return z }
+
+// Double sets z = 2x mod p and returns z.
+func (z *Element) Double(x *Element) *Element { mont.Fp.Add(l(z), l(x), l(x)); return z }
+
+// Sub sets z = x - y mod p and returns z.
+func (z *Element) Sub(x, y *Element) *Element { mont.Fp.Sub(l(z), l(x), l(y)); return z }
+
+// Neg sets z = -x mod p and returns z.
+func (z *Element) Neg(x *Element) *Element { mont.Fp.Neg(l(z), l(x)); return z }
+
+// Mul sets z = x·y mod p (Montgomery product) and returns z.
+func (z *Element) Mul(x, y *Element) *Element { mont.MulFp(l(z), l(x), l(y)); return z }
+
+// Square sets z = x² mod p and returns z.
+func (z *Element) Square(x *Element) *Element { mont.SquareFp(l(z), l(x)); return z }
+
+// Exp sets z = x^k mod p for a non-negative big.Int exponent and returns z.
+func (z *Element) Exp(x *Element, k *big.Int) *Element { mont.Fp.Exp(l(z), l(x), k); return z }
+
+// Inverse sets z = 1/x mod p (or 0 when x == 0) and returns z.
+func (z *Element) Inverse(x *Element) *Element { mont.Fp.Inverse(l(z), l(x)); return z }
+
+// Sqrt sets z to a square root of x if one exists and returns z, or
+// returns nil when x is a non-residue. Uses the p ≡ 3 mod 4 shortcut.
+func (z *Element) Sqrt(x *Element) *Element {
+	if !mont.Fp.Sqrt(l(z), l(x)) {
+		return nil
+	}
+	return z
 }
 
-// Bytes returns the canonical big-endian 32-byte encoding of z.
-func (z *Element) Bytes() [Bytes]byte {
-	var out [Bytes]byte
-	t := *z
-	t.fromMont()
-	for i := 0; i < Limbs; i++ {
-		w := t[i]
-		for j := 0; j < 8; j++ {
-			out[Bytes-1-(i*8+j)] = byte(w >> (8 * j))
-		}
-	}
-	return out
-}
-
-// SetBytes sets z from a big-endian byte slice (interpreted mod p) and
-// returns z.
-func (z *Element) SetBytes(b []byte) *Element {
-	var v big.Int
-	v.SetBytes(b)
-	return z.SetBigInt(&v)
-}
-
-// SetBytesCanonical sets z from exactly 32 big-endian bytes, requiring
-// the value to be a canonical (< p) encoding.
-func (z *Element) SetBytesCanonical(b []byte) error {
-	if len(b) != Bytes {
-		return errors.New("fp: invalid encoding length")
-	}
-	var t Element
-	for i := range t {
-		t[i] = binary.BigEndian.Uint64(b[Bytes-8*(i+1):])
-	}
-	if !t.smallerThanModulus() {
-		return errors.New("fp: encoding is not canonical")
-	}
-	*z = *t.toMont()
-	return nil
-}
-
-// MulUint64 sets z = x * v mod p and returns z.
-func (z *Element) MulUint64(x *Element, v uint64) *Element {
-	var e Element
-	e.SetUint64(v)
-	return z.Mul(x, &e)
+// Select sets z = a if cond == 0, else z = b, and returns z.
+func (z *Element) Select(cond int, a, b *Element) *Element {
+	mont.Select(l(z), cond, l(a), l(b))
+	return z
 }
 
 // BatchInvert computes the inverses of all elements in a using Montgomery's
@@ -525,51 +194,14 @@ func BatchInvert(a []Element) []Element {
 	return res
 }
 
-// BatchInvertInto is BatchInvert writing into caller-owned storage, so
-// hot loops (the MSM's batch-affine bucket adder) can amortize one
-// scratch buffer across many flushes. res must have len(a) entries; a
-// and res may not alias. Zero entries map to zero.
-func BatchInvertInto(a, res []Element) {
-	if len(a) != len(res) {
-		panic("fp: BatchInvertInto length mismatch")
-	}
-	if len(a) == 0 {
-		return
-	}
-	var acc Element
-	acc.SetOne()
-	for i := range a {
-		if a[i].IsZero() {
-			res[i].SetZero()
-			continue
-		}
-		res[i] = acc
-		acc.Mul(&acc, &a[i])
-	}
-	var accInv Element
-	accInv.Inverse(&acc)
-	for i := len(a) - 1; i >= 0; i-- {
-		if a[i].IsZero() {
-			continue
-		}
-		res[i].Mul(&res[i], &accInv)
-		accInv.Mul(&accInv, &a[i])
-	}
-}
+// BatchInvertInto is BatchInvert writing into caller-owned storage. res
+// must have len(a) entries; a and res may not alias.
+func BatchInvertInto(a, res []Element) { mont.Fp.BatchInvertInto(mont.Vec(a), mont.Vec(res)) }
 
-// RegularLimbs returns the canonical (non-Montgomery) little-endian
-// 64-bit limbs of z, as needed for windowed scalar recoding.
-func (z *Element) RegularLimbs() [Limbs]uint64 {
-	t := *z
-	t.fromMont()
-	return [Limbs]uint64(t)
-}
+// MulVecInto sets dst[i] = a[i]·b[i] for every i. All three slices must
+// have the same length; dst may alias a and/or b element-wise.
+func MulVecInto(dst, a, b []Element) { mont.Fp.MulVec(mont.Vec(dst), mont.Vec(a), mont.Vec(b)) }
 
-// Bit returns bit i of the canonical value of z.
-func (z *Element) Bit(i int) uint64 {
-	l := z.RegularLimbs()
-	if i < 0 || i >= Limbs*64 {
-		return 0
-	}
-	return (l[i/64] >> (i % 64)) & 1
-}
+// Butterfly sets (a, b) = (a+b, a−b) in place — the radix-2 building
+// block shared by the tower arithmetic and the FFTs.
+func Butterfly(a, b *Element) { mont.Fp.Butterfly(l(a), l(b)) }

@@ -1,70 +1,75 @@
 package fr
 
 import (
-	"fmt"
 	"testing"
+
+	"zkrownn/internal/bn254/mont/fieldtest"
 )
 
+// The field microbenchmark ladder (see package fieldtest); the fp and
+// fr files differ only in the package clause and in how Butterfly's
+// twiddled pass is spelled.
+
+var randomVec = fieldtest.RandomVec[Element]
+
 func BenchmarkMul(b *testing.B) {
-	x := MustRandom()
-	y := MustRandom()
+	x, y := MustRandom(), MustRandom()
 	var z Element
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Mul(&x, &y)
 	}
-	_ = z
 }
 
 func BenchmarkSquare(b *testing.B) {
 	x := MustRandom()
 	var z Element
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Square(&x)
 	}
-	_ = z
 }
 
-// benchSizes spans one FFT butterfly's worth (small) up to a streamed
-// MSM chunk's worth of elements.
-var benchSizes = []int{64, 1024, 16384}
+func BenchmarkAdd(b *testing.B) {
+	x, y := MustRandom(), MustRandom()
+	var z Element
+	for i := 0; i < b.N; i++ {
+		z.Add(&x, &y)
+	}
+}
+
+func BenchmarkInverse(b *testing.B) {
+	x := MustRandom()
+	var z Element
+	for i := 0; i < b.N; i++ {
+		z.Inverse(&x)
+	}
+}
+
+func BenchmarkBatchInvert1024(b *testing.B) {
+	in := randomVec(1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = BatchInvert(in)
+	}
+}
 
 func BenchmarkMulVec(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			x := make([]Element, n)
-			y := make([]Element, n)
-			dst := make([]Element, n)
-			for i := range x {
-				x[i] = MustRandom()
-				y[i] = MustRandom()
-			}
-			b.SetBytes(int64(n * Bytes))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MulVecInto(dst, x, y)
-			}
-		})
-	}
+	fieldtest.BenchVec(b, func(b *testing.B, n int) {
+		x, y, dst := randomVec(n), randomVec(n), make([]Element, n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MulVecInto(dst, x, y)
+		}
+	})
 }
 
+// BenchmarkButterfly times a twiddled butterfly pass: t = hi·tw;
+// (lo, hi) = (lo+t, lo−t).
 func BenchmarkButterfly(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			lo := make([]Element, n)
-			hi := make([]Element, n)
-			tw := make([]Element, n)
-			for i := range lo {
-				lo[i] = MustRandom()
-				hi[i] = MustRandom()
-				tw[i] = MustRandom()
-			}
-			b.SetBytes(int64(n * Bytes))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				TwiddleButterflyVec(lo, hi, tw)
-			}
-		})
-	}
+	fieldtest.BenchVec(b, func(b *testing.B, n int) {
+		lo, hi, tw := randomVec(n), randomVec(n), randomVec(n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			TwiddleButterflyVec(lo, hi, tw)
+		}
+	})
 }

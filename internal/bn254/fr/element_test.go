@@ -1,346 +1,29 @@
 package fr
 
 import (
-	"bytes"
-	"math/big"
-	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
+
+	"zkrownn/internal/bn254/mont/fieldtest"
 )
 
-// randElement returns a pseudo-random element for deterministic tests.
-func randElement(rng *rand.Rand) Element {
-	var v big.Int
-	words := make([]byte, 40)
-	rng.Read(words)
-	v.SetBytes(words)
-	var e Element
-	e.SetBigInt(&v)
-	return e
+// suite is the shared field test suite, run against this package's Element.
+var suite = fieldtest.Suite[Element, *Element]{
+	Modulus:     Modulus(),
+	BatchInvert: BatchInvert,
+	MulVec:      MulVecInto,
 }
 
-// Generate implements quick.Generator so testing/quick can draw random
-// field elements.
-func (Element) Generate(rng *rand.Rand, _ int) reflect.Value {
-	return reflect.ValueOf(randElement(rng))
-}
-
-func TestMontgomeryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		var v big.Int
-		b := make([]byte, 48)
-		rng.Read(b)
-		v.SetBytes(b)
-		v.Mod(&v, Modulus())
-		var e Element
-		e.SetBigInt(&v)
-		got := e.ToBigInt()
-		if got.Cmp(&v) != 0 {
-			t.Fatalf("round trip failed: want %s got %s", v.String(), got.String())
-		}
-	}
-}
-
-func TestAddSubMulAgainstBig(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	mod := Modulus()
-	for i := 0; i < 2000; i++ {
-		a := randElement(rng)
-		b := randElement(rng)
-		ab, bb := a.ToBigInt(), b.ToBigInt()
-
-		var sum, diff, prod Element
-		sum.Add(&a, &b)
-		diff.Sub(&a, &b)
-		prod.Mul(&a, &b)
-
-		wantSum := new(big.Int).Add(ab, bb)
-		wantSum.Mod(wantSum, mod)
-		wantDiff := new(big.Int).Sub(ab, bb)
-		wantDiff.Mod(wantDiff, mod)
-		wantProd := new(big.Int).Mul(ab, bb)
-		wantProd.Mod(wantProd, mod)
-
-		if sum.ToBigInt().Cmp(wantSum) != 0 {
-			t.Fatalf("add mismatch: %v + %v", ab, bb)
-		}
-		if diff.ToBigInt().Cmp(wantDiff) != 0 {
-			t.Fatalf("sub mismatch: %v - %v", ab, bb)
-		}
-		if prod.ToBigInt().Cmp(wantProd) != 0 {
-			t.Fatalf("mul mismatch: %v * %v", ab, bb)
-		}
-	}
-}
-
-func TestFieldAxiomsQuick(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 300}
-
-	commutative := func(a, b Element) bool {
-		var ab, ba Element
-		ab.Mul(&a, &b)
-		ba.Mul(&b, &a)
-		var s1, s2 Element
-		s1.Add(&a, &b)
-		s2.Add(&b, &a)
-		return ab.Equal(&ba) && s1.Equal(&s2)
-	}
-	if err := quick.Check(commutative, cfg); err != nil {
-		t.Error(err)
-	}
-
-	associative := func(a, b, c Element) bool {
-		var l, r, t1, t2 Element
-		t1.Mul(&a, &b)
-		l.Mul(&t1, &c)
-		t2.Mul(&b, &c)
-		r.Mul(&a, &t2)
-		return l.Equal(&r)
-	}
-	if err := quick.Check(associative, cfg); err != nil {
-		t.Error(err)
-	}
-
-	distributive := func(a, b, c Element) bool {
-		var l, r, t1, t2 Element
-		t1.Add(&b, &c)
-		l.Mul(&a, &t1)
-		t1.Mul(&a, &b)
-		t2.Mul(&a, &c)
-		r.Add(&t1, &t2)
-		return l.Equal(&r)
-	}
-	if err := quick.Check(distributive, cfg); err != nil {
-		t.Error(err)
-	}
-
-	inverse := func(a Element) bool {
-		if a.IsZero() {
-			var inv Element
-			inv.Inverse(&a)
-			return inv.IsZero()
-		}
-		var inv, prod Element
-		inv.Inverse(&a)
-		prod.Mul(&a, &inv)
-		return prod.IsOne()
-	}
-	if err := quick.Check(inverse, cfg); err != nil {
-		t.Error(err)
-	}
-
-	negation := func(a Element) bool {
-		var n, s Element
-		n.Neg(&a)
-		s.Add(&a, &n)
-		return s.IsZero()
-	}
-	if err := quick.Check(negation, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIdentities(t *testing.T) {
-	var z, o Element
-	z.SetZero()
-	o.SetOne()
-	if !z.IsZero() || z.IsOne() {
-		t.Fatal("zero misbehaves")
-	}
-	if !o.IsOne() || o.IsZero() {
-		t.Fatal("one misbehaves")
-	}
-	a := MustRandom()
-	var sum, prod Element
-	sum.Add(&a, &z)
-	prod.Mul(&a, &o)
-	if !sum.Equal(&a) || !prod.Equal(&a) {
-		t.Fatal("identity laws fail")
-	}
-	var zz Element
-	zz.Mul(&a, &z)
-	if !zz.IsZero() {
-		t.Fatal("a*0 != 0")
-	}
-}
-
-func TestSetInt64(t *testing.T) {
-	var a Element
-	a.SetInt64(-7)
-	var b Element
-	b.SetUint64(7)
-	b.Neg(&b)
-	if !a.Equal(&b) {
-		t.Fatal("SetInt64(-7) != -SetUint64(7)")
-	}
-	a.SetInt64(42)
-	if a.String() != "42" {
-		t.Fatalf("SetInt64(42) = %s", a.String())
-	}
-}
-
-func TestExp(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	mod := Modulus()
-	for i := 0; i < 50; i++ {
-		a := randElement(rng)
-		k := new(big.Int).Rand(rng, mod)
-		var got Element
-		got.Exp(&a, k)
-		want := new(big.Int).Exp(a.ToBigInt(), k, mod)
-		if got.ToBigInt().Cmp(want) != 0 {
-			t.Fatalf("exp mismatch at iteration %d", i)
-		}
-	}
-	// x^0 == 1, x^1 == x.
-	a := randElement(rng)
-	var r Element
-	r.Exp(&a, big.NewInt(0))
-	if !r.IsOne() {
-		t.Fatal("x^0 != 1")
-	}
-	r.Exp(&a, big.NewInt(1))
-	if !r.Equal(&a) {
-		t.Fatal("x^1 != x")
-	}
-}
-
-func TestLegendre(t *testing.T) {
-	var z Element
-	if z.Legendre() != 0 {
-		t.Fatal("Legendre(0) != 0")
-	}
-	a := MustRandom()
-	var sq Element
-	sq.Square(&a)
-	if !a.IsZero() && sq.Legendre() != 1 {
-		t.Fatal("Legendre(x²) != 1")
-	}
-}
-
-func TestBytesRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		a := randElement(rng)
-		enc := a.Bytes()
-		var b Element
-		if err := b.SetBytesCanonical(enc[:]); err != nil {
-			t.Fatal(err)
-		}
-		if !a.Equal(&b) {
-			t.Fatal("bytes round trip failed")
-		}
-	}
-	// Non-canonical encoding must be rejected.
-	enc := Modulus().Bytes()
-	pad := make([]byte, Bytes-len(enc))
-	full := append(pad, enc...)
-	var e Element
-	if err := e.SetBytesCanonical(full); err == nil {
-		t.Fatal("modulus accepted as canonical encoding")
-	}
-	if err := e.SetBytesCanonical([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short encoding accepted")
-	}
-	if err := e.SetBytesCanonical(bytes.Repeat([]byte{0xff}, Bytes)); err == nil {
-		t.Fatal("2^256-1 accepted as canonical encoding")
-	}
-	var pm1 Element
-	pm1.SetOne()
-	pm1.Neg(&pm1)
-	pm1Enc := pm1.Bytes()
-	if err := e.SetBytesCanonical(pm1Enc[:]); err != nil || !e.Equal(&pm1) {
-		t.Fatalf("p-1 round trip: %v", err)
-	}
-}
-
-func TestCmpAndLexicographicallyLargest(t *testing.T) {
-	var a, b Element
-	a.SetUint64(5)
-	b.SetUint64(9)
-	if a.Cmp(&b) != -1 || b.Cmp(&a) != 1 || a.Cmp(&a) != 0 {
-		t.Fatal("Cmp misbehaves")
-	}
-	var small, large Element
-	small.SetUint64(1)
-	large.Neg(&small) // p-1, which is > (p-1)/2
-	if small.LexicographicallyLargest() {
-		t.Fatal("1 should not be lexicographically largest")
-	}
-	if !large.LexicographicallyLargest() {
-		t.Fatal("p-1 should be lexicographically largest")
-	}
-}
-
-func TestBatchInvert(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	in := make([]Element, 33)
-	for i := range in {
-		if i%7 == 3 {
-			in[i].SetZero()
-			continue
-		}
-		in[i] = randElement(rng)
-	}
-	out := BatchInvert(in)
-	for i := range in {
-		if in[i].IsZero() {
-			if !out[i].IsZero() {
-				t.Fatal("inverse of zero not zero")
-			}
-			continue
-		}
-		var prod Element
-		prod.Mul(&in[i], &out[i])
-		if !prod.IsOne() {
-			t.Fatalf("batch inverse wrong at %d", i)
-		}
-	}
-	if got := BatchInvert(nil); len(got) != 0 {
-		t.Fatal("BatchInvert(nil) should be empty")
-	}
-}
-
-func TestHalve(t *testing.T) {
-	a := MustRandom()
-	h := a
-	h.Halve()
-	var back Element
-	back.Double(&h)
-	if !back.Equal(&a) {
-		t.Fatal("2*(x/2) != x")
-	}
-}
-
-func TestStringAndFormat(t *testing.T) {
-	var a Element
-	a.SetUint64(123456789)
-	if a.String() != "123456789" {
-		t.Fatalf("String() = %q", a.String())
-	}
-	var buf bytes.Buffer
-	if _, err := buf.WriteString(a.String()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSetString(t *testing.T) {
-	var a Element
-	if _, err := a.SetString("12345"); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != "12345" {
-		t.Fatal("decimal parse failed")
-	}
-	if _, err := a.SetString("0xff"); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != "255" {
-		t.Fatal("hex parse failed")
-	}
-	if _, err := a.SetString("not-a-number"); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
+func TestMontgomeryRoundTrip(t *testing.T)            { suite.MontgomeryRoundTrip(t) }
+func TestAddSubMulAgainstBig(t *testing.T)            { suite.AddSubMulAgainstBig(t) }
+func TestFieldAxiomsQuick(t *testing.T)               { suite.FieldAxioms(t) }
+func TestIdentities(t *testing.T)                     { suite.Identities(t) }
+func TestSetInt64(t *testing.T)                       { suite.SetInt64(t) }
+func TestExp(t *testing.T)                            { suite.Exp(t) }
+func TestInverseMatchesFermatOracle(t *testing.T)     { suite.InverseMatchesFermatOracle(t) }
+func TestBytesRoundTrip(t *testing.T)                 { suite.BytesRoundTrip(t) }
+func TestCmpAndLexicographicallyLargest(t *testing.T) { suite.CmpAndLexicographicallyLargest(t) }
+func TestBatchInvert(t *testing.T)                    { suite.BatchInversion(t) }
+func TestMulVecInto(t *testing.T)                     { suite.MulVecInto(t) }
+func TestStringAndFormat(t *testing.T)                { suite.StringAndFormat(t) }
+func TestSetString(t *testing.T)                      { suite.SetString(t) }
+func TestSetRandomReadsRng(t *testing.T)              { suite.SetRandomReadsRng(t) }

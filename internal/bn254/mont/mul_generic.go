@@ -1,16 +1,9 @@
-package fr
+package mont
 
-// Portable Montgomery multiplication core. This file is byte-identical
-// between internal/bn254/fp and internal/bn254/fr after the package
-// clause — TestGenericCoreLockstep enforces the match, so a fix applied
-// to one field cannot silently miss the other. Keep it free of
-// package-specific identifiers beyond the shared names Element, q,
-// qInvNeg and smallerThanModulus, and keep panics/strings out.
-//
-// mulGeneric is the reference implementation for every accelerated
-// backend: the build-tagged assembly paths must agree with it bit for
-// bit on all inputs (pinned by the FuzzF*MulBackends differential fuzz
-// targets and the property tests).
+// Portable Montgomery multiplication core, the reference for every
+// accelerated backend: the assembly in mul_amd64.s must agree with it
+// bit for bit on all inputs (pinned by the FuzzMulBackends differential
+// target, which runs both moduli).
 
 import "math/bits"
 
@@ -50,78 +43,78 @@ func madd3(a, b, c, d, e uint64) (uint64, uint64) {
 	return hi, lo
 }
 
-// mulGeneric sets z = x·y mod p (Montgomery product) with the CIOS
+// mulGeneric sets z = x·y mod q (Montgomery product) with the CIOS
 // algorithm; the "no-carry" shortcut applies because the top limb of
 // the modulus is below 2⁶². Safe for z aliasing x and/or y: the final
 // round writes each z limb only after its last read of x and y.
-func mulGeneric(z, x, y *Element) {
+func mulGeneric(f *Field, z, x, y *[Limbs]uint64) {
 	var t [4]uint64
 	var c [3]uint64
 	{
 		v := x[0]
 		c[1], c[0] = bits.Mul64(v, y[0])
-		m := c[0] * qInvNeg
-		c[2] = madd0(m, q[0], c[0])
+		m := c[0] * f.qInvNeg
+		c[2] = madd0(m, f.q[0], c[0])
 		c[1], c[0] = madd1(v, y[1], c[1])
-		c[2], t[0] = madd2(m, q[1], c[2], c[0])
+		c[2], t[0] = madd2(m, f.q[1], c[2], c[0])
 		c[1], c[0] = madd1(v, y[2], c[1])
-		c[2], t[1] = madd2(m, q[2], c[2], c[0])
+		c[2], t[1] = madd2(m, f.q[2], c[2], c[0])
 		c[1], c[0] = madd1(v, y[3], c[1])
-		t[3], t[2] = madd3(m, q[3], c[0], c[2], c[1])
+		t[3], t[2] = madd3(m, f.q[3], c[0], c[2], c[1])
 	}
 	{
 		v := x[1]
 		c[1], c[0] = madd1(v, y[0], t[0])
-		m := c[0] * qInvNeg
-		c[2] = madd0(m, q[0], c[0])
+		m := c[0] * f.qInvNeg
+		c[2] = madd0(m, f.q[0], c[0])
 		c[1], c[0] = madd2(v, y[1], c[1], t[1])
-		c[2], t[0] = madd2(m, q[1], c[2], c[0])
+		c[2], t[0] = madd2(m, f.q[1], c[2], c[0])
 		c[1], c[0] = madd2(v, y[2], c[1], t[2])
-		c[2], t[1] = madd2(m, q[2], c[2], c[0])
+		c[2], t[1] = madd2(m, f.q[2], c[2], c[0])
 		c[1], c[0] = madd2(v, y[3], c[1], t[3])
-		t[3], t[2] = madd3(m, q[3], c[0], c[2], c[1])
+		t[3], t[2] = madd3(m, f.q[3], c[0], c[2], c[1])
 	}
 	{
 		v := x[2]
 		c[1], c[0] = madd1(v, y[0], t[0])
-		m := c[0] * qInvNeg
-		c[2] = madd0(m, q[0], c[0])
+		m := c[0] * f.qInvNeg
+		c[2] = madd0(m, f.q[0], c[0])
 		c[1], c[0] = madd2(v, y[1], c[1], t[1])
-		c[2], t[0] = madd2(m, q[1], c[2], c[0])
+		c[2], t[0] = madd2(m, f.q[1], c[2], c[0])
 		c[1], c[0] = madd2(v, y[2], c[1], t[2])
-		c[2], t[1] = madd2(m, q[2], c[2], c[0])
+		c[2], t[1] = madd2(m, f.q[2], c[2], c[0])
 		c[1], c[0] = madd2(v, y[3], c[1], t[3])
-		t[3], t[2] = madd3(m, q[3], c[0], c[2], c[1])
+		t[3], t[2] = madd3(m, f.q[3], c[0], c[2], c[1])
 	}
 	{
 		v := x[3]
 		c[1], c[0] = madd1(v, y[0], t[0])
-		m := c[0] * qInvNeg
-		c[2] = madd0(m, q[0], c[0])
+		m := c[0] * f.qInvNeg
+		c[2] = madd0(m, f.q[0], c[0])
 		c[1], c[0] = madd2(v, y[1], c[1], t[1])
-		c[2], z[0] = madd2(m, q[1], c[2], c[0])
+		c[2], z[0] = madd2(m, f.q[1], c[2], c[0])
 		c[1], c[0] = madd2(v, y[2], c[1], t[2])
-		c[2], z[1] = madd2(m, q[2], c[2], c[0])
+		c[2], z[1] = madd2(m, f.q[2], c[2], c[0])
 		c[1], c[0] = madd2(v, y[3], c[1], t[3])
-		z[3], z[2] = madd3(m, q[3], c[0], c[2], c[1])
+		z[3], z[2] = madd3(m, f.q[3], c[0], c[2], c[1])
 	}
-	if !z.smallerThanModulus() {
+	if !f.smallerThanModulus(z) {
 		var b uint64
-		z[0], b = bits.Sub64(z[0], q[0], 0)
-		z[1], b = bits.Sub64(z[1], q[1], b)
-		z[2], b = bits.Sub64(z[2], q[2], b)
-		z[3], _ = bits.Sub64(z[3], q[3], b)
+		z[0], b = bits.Sub64(z[0], f.q[0], 0)
+		z[1], b = bits.Sub64(z[1], f.q[1], b)
+		z[2], b = bits.Sub64(z[2], f.q[2], b)
+		z[3], _ = bits.Sub64(z[3], f.q[3], b)
 	}
 }
 
-// squareGeneric sets z = x² mod p with a dedicated no-carry squaring:
+// squareGeneric sets z = x² mod q with a dedicated no-carry squaring:
 // the 512-bit square needs only the 10 distinct limb products (the 6
 // cross products are doubled by shifts) instead of the 16 a general
 // product scans, and is then folded by four standard REDC rounds.
-// Inputs must be reduced (< p), which every exported constructor
+// Inputs must be reduced (< q), which every exported constructor
 // guarantees; the overflow analysis in the comments uses q[3] < 2⁶²,
 // true for both BN254 fields.
-func squareGeneric(z, x *Element) {
+func squareGeneric(f *Field, z, x *[Limbs]uint64) {
 	var t [8]uint64
 	var hi, lo, carry uint64
 
@@ -176,58 +169,58 @@ func squareGeneric(z, x *Element) {
 	// < 2²⁵⁶·p < 2⁵¹⁰), so the ripple past each round's m·q high word
 	// never carries out of t[7].
 	var c uint64
-	m := t[0] * qInvNeg
-	c = madd0(m, q[0], t[0])
-	c, t[1] = madd2(m, q[1], t[1], c)
-	c, t[2] = madd2(m, q[2], t[2], c)
-	c, t[3] = madd2(m, q[3], t[3], c)
+	m := t[0] * f.qInvNeg
+	c = madd0(m, f.q[0], t[0])
+	c, t[1] = madd2(m, f.q[1], t[1], c)
+	c, t[2] = madd2(m, f.q[2], t[2], c)
+	c, t[3] = madd2(m, f.q[3], t[3], c)
 	t[4], carry = bits.Add64(t[4], c, 0)
 	t[5], carry = bits.Add64(t[5], 0, carry)
 	t[6], carry = bits.Add64(t[6], 0, carry)
 	t[7], _ = bits.Add64(t[7], 0, carry)
 
-	m = t[1] * qInvNeg
-	c = madd0(m, q[0], t[1])
-	c, t[2] = madd2(m, q[1], t[2], c)
-	c, t[3] = madd2(m, q[2], t[3], c)
-	c, t[4] = madd2(m, q[3], t[4], c)
+	m = t[1] * f.qInvNeg
+	c = madd0(m, f.q[0], t[1])
+	c, t[2] = madd2(m, f.q[1], t[2], c)
+	c, t[3] = madd2(m, f.q[2], t[3], c)
+	c, t[4] = madd2(m, f.q[3], t[4], c)
 	t[5], carry = bits.Add64(t[5], c, 0)
 	t[6], carry = bits.Add64(t[6], 0, carry)
 	t[7], _ = bits.Add64(t[7], 0, carry)
 
-	m = t[2] * qInvNeg
-	c = madd0(m, q[0], t[2])
-	c, t[3] = madd2(m, q[1], t[3], c)
-	c, t[4] = madd2(m, q[2], t[4], c)
-	c, t[5] = madd2(m, q[3], t[5], c)
+	m = t[2] * f.qInvNeg
+	c = madd0(m, f.q[0], t[2])
+	c, t[3] = madd2(m, f.q[1], t[3], c)
+	c, t[4] = madd2(m, f.q[2], t[4], c)
+	c, t[5] = madd2(m, f.q[3], t[5], c)
 	t[6], carry = bits.Add64(t[6], c, 0)
 	t[7], _ = bits.Add64(t[7], 0, carry)
 
-	m = t[3] * qInvNeg
-	c = madd0(m, q[0], t[3])
-	c, t[4] = madd2(m, q[1], t[4], c)
-	c, t[5] = madd2(m, q[2], t[5], c)
-	c, t[6] = madd2(m, q[3], t[6], c)
+	m = t[3] * f.qInvNeg
+	c = madd0(m, f.q[0], t[3])
+	c, t[4] = madd2(m, f.q[1], t[4], c)
+	c, t[5] = madd2(m, f.q[2], t[5], c)
+	c, t[6] = madd2(m, f.q[3], t[6], c)
 	t[7], _ = bits.Add64(t[7], c, 0)
 
-	// The reduced value is below (p² + 2²⁵⁶·p)/2²⁵⁶ < 2p, so one
+	// The reduced value is below (q² + 2²⁵⁶·q)/2²⁵⁶ < 2q, so one
 	// conditional subtraction restores canonical form.
 	z[0], z[1], z[2], z[3] = t[4], t[5], t[6], t[7]
-	if !z.smallerThanModulus() {
+	if !f.smallerThanModulus(z) {
 		var b uint64
-		z[0], b = bits.Sub64(z[0], q[0], 0)
-		z[1], b = bits.Sub64(z[1], q[1], b)
-		z[2], b = bits.Sub64(z[2], q[2], b)
-		z[3], _ = bits.Sub64(z[3], q[3], b)
+		z[0], b = bits.Sub64(z[0], f.q[0], 0)
+		z[1], b = bits.Sub64(z[1], f.q[1], b)
+		z[2], b = bits.Sub64(z[2], f.q[2], b)
+		z[3], _ = bits.Sub64(z[3], f.q[3], b)
 	}
 }
 
 // mulVecGeneric is the portable element-wise product kernel behind
-// MulVecInto. Lengths are validated by the caller.
-func mulVecGeneric(dst, a, b []Element) {
+// Field.MulVec. Lengths are validated by the caller.
+func mulVecGeneric(f *Field, dst, a, b [][Limbs]uint64) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
 	for i := range dst {
-		mulGeneric(&dst[i], &a[i], &b[i])
+		mulGeneric(f, &dst[i], &a[i], &b[i])
 	}
 }

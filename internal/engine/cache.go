@@ -33,9 +33,9 @@ type KeyPair struct {
 // Streamed reports whether the keys are out-of-core.
 func (kp *KeyPair) Streamed() bool { return kp.Stream != nil }
 
-// PKSizeBytes returns the serialized size of the proving key in
-// whichever backend holds it: the compressed WriteTo size for an
-// in-memory key, the raw on-disk size for a streamed one.
+// PKSizeBytes returns the size of the proving key's raw encoding (the
+// key-cache file format) in whichever backend holds it, so in-memory
+// and streamed keys report the same figure.
 func (kp *KeyPair) PKSizeBytes() int64 {
 	switch {
 	case kp.PK != nil:

@@ -206,6 +206,10 @@ func TestMidBudgetProofMatchesInMemoryEngine(t *testing.T) {
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Fatal("out-of-core engine proof bytes diverge from the in-memory engine proof")
 	}
+	// Both modes report the one (raw) proving-key encoding's size.
+	if in, out := rIn.Keys.PKSizeBytes(), rMid.Keys.PKSizeBytes(); in != raw || out != raw {
+		t.Fatalf("PKSizeBytes in-memory %d, out-of-core %d, want the raw size %d in both", in, out, raw)
+	}
 }
 
 // TestSpilledEngineRoundTrip forces full out-of-core mode (streamed

@@ -99,10 +99,10 @@ func TestGoldenWireFormats(t *testing.T) {
 	{
 		pk2, _, proof2, _ := goldenArtifacts(t)
 		var a, b bytes.Buffer
-		if _, err := pk.WriteTo(&a); err != nil {
+		if _, err := pk.WriteRawTo(&a); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pk2.WriteTo(&b); err != nil {
+		if _, err := pk2.WriteRawTo(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {

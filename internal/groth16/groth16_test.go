@@ -309,11 +309,20 @@ func TestKeySerialization(t *testing.T) {
 	}
 
 	var pkBuf bytes.Buffer
-	if _, err := pk.WriteTo(&pkBuf); err != nil {
+	if _, err := pk.WriteRawTo(&pkBuf); err != nil {
 		t.Fatal(err)
 	}
+	// SizeBytes must match what WriteRawTo produced and what
+	// RawPKSizeBytes predicts from the system alone.
+	raw, err := RawPKSizeBytes(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pk.SizeBytes() != int64(pkBuf.Len()) || raw != int64(pkBuf.Len()) {
+		t.Fatalf("SizeBytes %d, RawPKSizeBytes %d, serialized %d", pk.SizeBytes(), raw, pkBuf.Len())
+	}
 	var pk2 ProvingKey
-	if _, err := pk2.ReadFrom(&pkBuf); err != nil {
+	if _, err := pk2.ReadRawFrom(&pkBuf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -325,16 +334,6 @@ func TestKeySerialization(t *testing.T) {
 	}
 	if err := Verify(&vk2, proof, w[1:sys.NbPublic]); err != nil {
 		t.Fatal("round-tripped keys fail to prove/verify")
-	}
-
-	// SizeBytes must match what WriteTo produced. Note pkBuf was drained
-	// by ReadFrom, so re-serialize.
-	var pkBuf2 bytes.Buffer
-	if _, err := pk.WriteTo(&pkBuf2); err != nil {
-		t.Fatal(err)
-	}
-	if pk.SizeBytes() != int64(pkBuf2.Len()) {
-		t.Fatalf("SizeBytes %d != serialized %d", pk.SizeBytes(), pkBuf2.Len())
 	}
 	if vk.SizeBytes() <= 0 {
 		t.Fatal("vk.SizeBytes not positive")

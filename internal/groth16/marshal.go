@@ -10,11 +10,11 @@ import (
 	"zkrownn/internal/bn254/pairing"
 )
 
-// Binary framing: a 4-byte magic, a format version, then length-prefixed
-// compressed points. All integers are little-endian uint32.
+// Binary framing: a 4-byte magic, a format version, then the payload —
+// compressed points for proofs and verifying keys, uncompressed points
+// for the proving key (WriteRawTo). Integers are little-endian.
 var (
 	magicProof = [4]byte{'Z', 'K', 'P', 'F'}
-	magicPK    = [4]byte{'Z', 'K', 'P', 'K'}
 	magicPKRaw = [4]byte{'Z', 'K', 'P', 'R'}
 	magicVK    = [4]byte{'Z', 'K', 'V', 'K'}
 )
@@ -108,35 +108,6 @@ func readG1Slice(r io.Reader) ([]curve.G1Affine, error) {
 	out := make([]curve.G1Affine, n)
 	for i := range out {
 		if err := readG1(r, &out[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func writeG2Slice(w io.Writer, ps []curve.G2Affine) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(ps))); err != nil {
-		return err
-	}
-	for i := range ps {
-		if err := writeG2(w, &ps[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readG2Slice(r io.Reader) ([]curve.G2Affine, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > 1<<28 {
-		return nil, errors.New("groth16: implausible G2 slice length")
-	}
-	out := make([]curve.G2Affine, n)
-	for i := range out {
-		if err := readG2(r, &out[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -239,78 +210,14 @@ func (vk *VerifyingKey) ReadFrom(r io.Reader) (int64, error) {
 	return 0, nil
 }
 
-// WriteTo serializes the proving key.
-func (pk *ProvingKey) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	if err := writeHeader(cw, magicPK); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, pk.DomainSize); err != nil {
-		return cw.n, err
-	}
-	for _, pt := range []*curve.G1Affine{&pk.AlphaG1, &pk.BetaG1, &pk.DeltaG1} {
-		if err := writeG1(cw, pt); err != nil {
-			return cw.n, err
-		}
-	}
-	for _, pt := range []*curve.G2Affine{&pk.BetaG2, &pk.DeltaG2} {
-		if err := writeG2(cw, pt); err != nil {
-			return cw.n, err
-		}
-	}
-	for _, s := range [][]curve.G1Affine{pk.A, pk.B1, pk.K, pk.Z} {
-		if err := writeG1Slice(cw, s); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := writeG2Slice(cw, pk.B2); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// ReadFrom deserializes a proving key.
-func (pk *ProvingKey) ReadFrom(r io.Reader) (int64, error) {
-	if err := readHeader(r, magicPK); err != nil {
-		return 0, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &pk.DomainSize); err != nil {
-		return 0, err
-	}
-	for _, pt := range []*curve.G1Affine{&pk.AlphaG1, &pk.BetaG1, &pk.DeltaG1} {
-		if err := readG1(r, pt); err != nil {
-			return 0, err
-		}
-	}
-	for _, pt := range []*curve.G2Affine{&pk.BetaG2, &pk.DeltaG2} {
-		if err := readG2(r, pt); err != nil {
-			return 0, err
-		}
-	}
-	var err error
-	if pk.A, err = readG1Slice(r); err != nil {
-		return 0, err
-	}
-	if pk.B1, err = readG1Slice(r); err != nil {
-		return 0, err
-	}
-	if pk.K, err = readG1Slice(r); err != nil {
-		return 0, err
-	}
-	if pk.Z, err = readG1Slice(r); err != nil {
-		return 0, err
-	}
-	if pk.B2, err = readG2Slice(r); err != nil {
-		return 0, err
-	}
-	return 0, nil
-}
-
-// WriteRawTo serializes the proving key with uncompressed points — about
-// twice the bytes of WriteTo, but ReadRawFrom skips the per-point square
-// root of compressed decoding, making deserialization orders of
-// magnitude faster. This is the format of the prover engine's local key
-// cache; use WriteTo for keys that cross a trust boundary.
+// WriteRawTo serializes the proving key with uncompressed points, the
+// one proving-key encoding: the prover engine's key cache, streamed
+// setup (SetupStreamed) and OpenStreamedProvingKey all use it. Reading
+// it back skips the per-point square root of compressed decoding, which
+// makes deserialization orders of magnitude faster than a compressed
+// format; the price is about twice the bytes. Proving keys never cross
+// a trust boundary (only verifying keys and proofs do), so ReadRawFrom
+// does not check subgroup membership.
 func (pk *ProvingKey) WriteRawTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	if err := writeHeader(cw, magicPKRaw); err != nil {
@@ -433,11 +340,10 @@ func (pk *ProvingKey) ReadRawFrom(r io.Reader) (int64, error) {
 	return 0, nil
 }
 
-// SizeBytes returns the serialized size of the proving key.
+// SizeBytes returns the size of the key's WriteRawTo encoding — the
+// same figure StreamedProvingKey.SizeBytes and RawPKSizeBytes report.
 func (pk *ProvingKey) SizeBytes() int64 {
-	cw := &countingWriter{w: io.Discard}
-	_, _ = pk.WriteTo(cw)
-	return cw.n
+	return rawPKSize(int64(len(pk.A)+len(pk.B1)+len(pk.K)+len(pk.Z)), int64(len(pk.B2)))
 }
 
 // SizeBytes returns the serialized size of the verifying key.

@@ -68,20 +68,26 @@ func assertPKEqual(t *testing.T, want, got *ProvingKey) {
 	}
 }
 
+// TestProvingKeyRoundTrip checks that the in-memory writer and the
+// streamed reader agree on the one proving-key encoding: a WriteRawTo
+// image opens as a StreamedProvingKey of the same size and header.
 func TestProvingKeyRoundTrip(t *testing.T) {
 	pk, _, _ := marshalFixture(t)
 	var buf bytes.Buffer
-	if _, err := pk.WriteTo(&buf); err != nil {
+	if _, err := pk.WriteRawTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if int64(buf.Len()) != pk.SizeBytes() {
-		t.Fatalf("WriteTo wrote %d bytes, SizeBytes says %d", buf.Len(), pk.SizeBytes())
+		t.Fatalf("WriteRawTo wrote %d bytes, SizeBytes says %d", buf.Len(), pk.SizeBytes())
 	}
-	var got ProvingKey
-	if _, err := got.ReadFrom(&buf); err != nil {
+	spk, err := OpenStreamedProvingKey(bytes.NewReader(buf.Bytes()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertPKEqual(t, pk, &got)
+	if spk.SizeBytes() != pk.SizeBytes() || spk.DomainSize() != pk.DomainSize {
+		t.Fatalf("streamed view: size %d domain %d, in-memory: size %d domain %d",
+			spk.SizeBytes(), spk.DomainSize(), pk.SizeBytes(), pk.DomainSize)
+	}
 }
 
 func TestProvingKeyRawRoundTrip(t *testing.T) {
@@ -178,10 +184,15 @@ func TestMarshalRejectsWrongMagic(t *testing.T) {
 	if _, err := pk.WriteRawTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// A raw-format stream must not parse as the compressed format.
+	// A verifying-key stream must not parse as a proving key.
+	_, vk, _ := marshalFixture(t)
+	var vkBuf bytes.Buffer
+	if _, err := vk.WriteTo(&vkBuf); err != nil {
+		t.Fatal(err)
+	}
 	var got ProvingKey
-	if _, err := got.ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("compressed reader accepted raw-format stream")
+	if _, err := got.ReadRawFrom(bytes.NewReader(vkBuf.Bytes())); err == nil {
+		t.Fatal("proving-key reader accepted verifying-key stream")
 	}
 	var got2 Proof
 	if _, err := got2.ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {

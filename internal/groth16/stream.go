@@ -51,10 +51,13 @@ func RawPKSizeBytes(sys r1cs.Constraints) (int64, error) {
 	m := int64(d.NbWires)
 	ell := int64(d.NbPublic)
 	n := int64(domain.N)
-	g1Points := m + m + (m - ell) + (n - 1) // A + B1 + K + Z
-	return rawPKFixedHeaderSize + 5*4 +
-		g1Points*curve.G1UncompressedSize +
-		m*curve.G2UncompressedSize, nil
+	return rawPKSize(m+m+(m-ell)+(n-1), m), nil // G1: A + B1 + K + Z; G2: B2
+}
+
+// rawPKSize is the raw encoding's size for a key holding g1 points
+// across sections A, B1, K and Z and g2 points in B2.
+func rawPKSize(g1, g2 int64) int64 {
+	return rawPKFixedHeaderSize + 5*4 + g1*curve.G1UncompressedSize + g2*curve.G2UncompressedSize
 }
 
 // rawSection locates one query section inside the raw key file: the
