@@ -1,98 +1,9 @@
 package fr
 
-import (
-	"math/big"
-	"testing"
-)
+import "testing"
 
-// mulBackendSeeds returns the boundary seed corpus shared by the fp and
-// fr differential fuzz targets: zero, one, p−1 (largest canonical
-// value), and fully saturated bytes (forces the SetBytes reduction and
-// the conditional-subtract edge in every backend). Each seed is x||y as
-// two 32-byte big-endian values.
-func mulBackendSeeds(modulus *big.Int) [][]byte {
-	one := make([]byte, 64)
-	one[31], one[63] = 1, 1
-	var pm1 big.Int
-	pm1.Sub(modulus, big.NewInt(1))
-	pm1Seed := make([]byte, 64)
-	pm1.FillBytes(pm1Seed[:32])
-	pm1.FillBytes(pm1Seed[32:])
-	sat := make([]byte, 64)
-	for i := range sat {
-		sat[i] = 0xff
-	}
-	mixed := make([]byte, 64)
-	pm1.FillBytes(mixed[:32])
-	mixed[63] = 2
-	return [][]byte{make([]byte, 64), one, pm1Seed, sat, mixed}
-}
-
-// FuzzFrMulBackends pins every multiplication backend to the portable
-// generic CIOS core, bit for bit: the build's Mul/Square dispatch
-// (assembly on amd64 with ADX, generic elsewhere), the in-place
-// aliasing forms, and the vector kernel. On purego builds both sides
-// run the generic core and the target degenerates to a self-check.
-func FuzzFrMulBackends(f *testing.F) {
-	for _, seed := range mulBackendSeeds(Modulus()) {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 64 {
-			return
-		}
-		var x, y Element
-		x.SetBytes(data[:32])
-		y.SetBytes(data[32:64])
-
-		var got, want Element
-		got.Mul(&x, &y)
-		mulGeneric(&want, &x, &y)
-		if got != want {
-			t.Fatalf("Mul backend mismatch: %s·%s = %s, generic %s", x.String(), y.String(), got.String(), want.String())
-		}
-
-		var sq, sqWant Element
-		sq.Square(&x)
-		squareGeneric(&sqWant, &x)
-		if sq != sqWant {
-			t.Fatalf("Square backend mismatch: %s² = %s, generic %s", x.String(), sq.String(), sqWant.String())
-		}
-
-		// Aliased forms must agree with the out-of-place result.
-		alias := x
-		alias.Mul(&alias, &y)
-		if alias != want {
-			t.Fatalf("aliased Mul(z==x) mismatch: got %s, want %s", alias.String(), want.String())
-		}
-		alias = y
-		alias.Mul(&x, &alias)
-		if alias != want {
-			t.Fatalf("aliased Mul(z==y) mismatch: got %s, want %s", alias.String(), want.String())
-		}
-		alias = x
-		alias.Square(&alias)
-		if alias != sqWant {
-			t.Fatalf("aliased Square mismatch: got %s, want %s", alias.String(), sqWant.String())
-		}
-
-		// Vector kernel, including the dst==a in-place form.
-		a := []Element{x, y, x, y}
-		b := []Element{y, x, x, y}
-		dst := make([]Element, len(a))
-		MulVecInto(dst, a, b)
-		for i := range dst {
-			mulGeneric(&want, &a[i], &b[i])
-			if dst[i] != want {
-				t.Fatalf("MulVecInto[%d] mismatch: got %s, want %s", i, dst[i].String(), want.String())
-			}
-		}
-		inPlace := append([]Element(nil), a...)
-		MulVecInto(inPlace, inPlace, b)
-		for i := range inPlace {
-			if inPlace[i] != dst[i] {
-				t.Fatalf("in-place MulVecInto[%d] mismatch", i)
-			}
-		}
-	})
-}
+// FuzzFrMulBackends pins this build's multiplication backend to the
+// math/big product through the typed Element API; see
+// fieldtest.Suite.FuzzMulBackends. The backend-against-generic-core
+// check over both moduli is mont.FuzzMulBackends.
+func FuzzFrMulBackends(f *testing.F) { suite.FuzzMulBackends(f) }

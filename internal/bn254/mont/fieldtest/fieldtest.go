@@ -26,6 +26,7 @@ type Element[E any] interface {
 	SetBigInt(*big.Int) *E
 	SetString(string) (*E, error)
 	SetRandom(io.Reader) (*E, error)
+	SetBytes([]byte) *E
 	SetBytesCanonical([]byte) error
 	Bytes() [32]byte
 	ToBigInt() *big.Int

@@ -1,32 +1,10 @@
 package mont
 
 import (
-	"math/big"
 	"testing"
-)
 
-// mulBackendSeeds returns the boundary seed corpus for one modulus:
-// zero, one, q−1 (largest canonical value), fully saturated bytes
-// (forces the SetBytes reduction and the conditional-subtract edge in
-// every backend), and q−1 against 2. Each seed is x||y as two 32-byte
-// big-endian values.
-func mulBackendSeeds(modulus *big.Int) [][]byte {
-	one := make([]byte, 64)
-	one[31], one[63] = 1, 1
-	var qm1 big.Int
-	qm1.Sub(modulus, big.NewInt(1))
-	qm1Seed := make([]byte, 64)
-	qm1.FillBytes(qm1Seed[:32])
-	qm1.FillBytes(qm1Seed[32:])
-	sat := make([]byte, 64)
-	for i := range sat {
-		sat[i] = 0xff
-	}
-	mixed := make([]byte, 64)
-	qm1.FillBytes(mixed[:32])
-	mixed[63] = 2
-	return [][]byte{make([]byte, 64), one, qm1Seed, sat, mixed}
-}
+	"zkrownn/internal/bn254/mont/fieldtest"
+)
 
 // FuzzMulBackends pins every multiplication backend to the portable
 // generic CIOS core, bit for bit, for both moduli: the per-field
@@ -37,7 +15,7 @@ func mulBackendSeeds(modulus *big.Int) [][]byte {
 // degenerates to a self-check.
 func FuzzMulBackends(f *testing.F) {
 	for _, fld := range []*Field{&Fp, &Fr} {
-		for _, seed := range mulBackendSeeds(&fld.modulus) {
+		for _, seed := range fieldtest.MulSeeds(&fld.modulus) {
 			f.Add(seed)
 		}
 	}
